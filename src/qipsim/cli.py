@@ -43,6 +43,7 @@ from .quantum import (
 )
 from .sumcheck import (
     ProtocolSizeError,
+    SearchTables,
     accepting_row_messages,
     build_schedule,
     honest_always_accepts,
@@ -65,6 +66,16 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"qipsim: error: {message}", file=sys.stderr)
         raise SystemExit(2)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, not {value}")
+    return value
 
 
 def _frac_doc(x: Fraction) -> dict:
@@ -158,9 +169,10 @@ def cmd_classical_exhaustive(args) -> dict:
         result["within_cap"] = value <= cap
     else:  # lookahead:full
         total = field.order ** schedule.n_rounds
+        tables = SearchTables(q, field, schedule)
         winnable = 0
         for row in itertools.product(field.elements(), repeat=schedule.n_rounds):
-            if accepting_row_messages(q, field, row, schedule) is not None:
+            if accepting_row_messages(q, field, row, schedule, tables=tables) is not None:
                 winnable += 1
         result["winnable_rows"] = winnable
         result["total_rows"] = total
@@ -336,7 +348,7 @@ def build_parser() -> _Parser:
     _add_formula_args(crun)
     crun.add_argument("--k", type=int, required=True, help="field bits")
     crun.add_argument("--prover", choices=("honest", "optimal"), default="honest")
-    crun.add_argument("--trials", type=int, default=1)
+    crun.add_argument("--trials", type=_positive_int, default=1)
     crun.add_argument("--seed", type=int, default=0)
     _add_output_args(crun)
     crun.set_defaults(func=cmd_classical_run, label="classical run")
@@ -356,13 +368,13 @@ def build_parser() -> _Parser:
     qrun = qsub.add_parser("run", help="exact or sampled protocol run")
     _add_formula_args(qrun)
     qrun.add_argument("--k", type=int, required=True, help="field bits")
-    qrun.add_argument("--m", type=int, required=True, help="register rows")
+    qrun.add_argument("--m", type=_positive_int, required=True, help="register rows")
     qrun.add_argument(
         "--prover", choices=("honest", "lookahead:full", "biased:single"),
         default="honest",
     )
     qrun.add_argument("--u", choices=("exhaustive", "sample"), default="exhaustive")
-    qrun.add_argument("--samples", type=int, default=64,
+    qrun.add_argument("--samples", type=_positive_int, default=64,
                       help="u draws in sample mode")
     qrun.add_argument("--seed", type=int, default=0)
     qrun.add_argument("--dense-check", action="store_true",

@@ -42,6 +42,7 @@ from .qbf import PrenexQbf
 from .sumcheck import (
     ProtocolSizeError,
     RoundSchedule,
+    SearchTables,
     TranscriptOracle,
     accepting_row_messages,
     build_schedule,
@@ -210,12 +211,13 @@ def full_lookahead(q: PrenexQbf, field: Field,
     accepts for it, falling back to the honest messages when none exists."""
     schedule = schedule or build_schedule(q)
     oracle = TranscriptOracle(q, field, schedule)
+    tables = SearchTables(q, field, schedule)
     memo: dict[tuple[int, ...], tuple[UniPoly, ...]] = {}
 
     def row_phi(r_row: tuple[int, ...]) -> tuple[UniPoly, ...]:
         out = memo.get(r_row)
         if out is None:
-            found = accepting_row_messages(q, field, r_row, schedule)
+            found = accepting_row_messages(q, field, r_row, schedule, tables=tables)
             out = found if found is not None else oracle.correct_row(r_row)
             memo[r_row] = out
         return out

@@ -26,12 +26,13 @@ already contradicts the claim.
 
 from __future__ import annotations
 
-import itertools
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Protocol
+
+import numpy as np
 
 from . import _kernels
 from .gf2k import Field, UniPoly, poly_degree
@@ -365,7 +366,71 @@ def honest_always_accepts(
 
 
 # ---------------------------------------------------------------------------
-# Optimal cheating prover (exact, by backward induction).
+# Optimal cheating prover and full-lookahead search (exact, bottom-up).
+
+# Entries in one (assignments x candidates) score block of the cheater DP.
+_SCORE_BLOCK = 1 << 20
+
+
+def _digit_rows(order: int, width: int) -> np.ndarray:
+    """Every width-tuple over range(order), one row each, in
+    ``itertools.product`` order (the last position varies fastest)."""
+    powers = order ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    return np.arange(order ** width, dtype=np.int64)[:, None] // powers % order
+
+
+class SearchTables:
+    """Every candidate message of one instance, evaluated once.
+
+    For each degree cap D in the schedule, row c of ``coeffs[D]`` is the c-th
+    coefficient tuple of length D + 1 in ``itertools.product`` order, and
+    ``evals[D][c, r]`` is that polynomial at field element r. For each
+    round's (kind, D), ``keys[kind, D][rho, c]`` is the verifier's combine
+    value of candidate c's f(0) and f(1) when the round variable holds rho,
+    read from a table filled by ``_combine``; ``groups[kind, D][rho][v]`` lists,
+    in product order, the candidates whose combine value is v. ``prog`` is
+    the compiled matrix. Building raises ProtocolSizeError past the search
+    cutoff.
+    """
+
+    def __init__(self, q: PrenexQbf, field: Field, schedule: RoundSchedule,
+                 max_work: int = MAX_SEARCH_WORK):
+        order = field.order
+        dmax = max(schedule.degree_bounds)
+        if order ** (dmax + 1) * order ** (q.n + 1) > max_work:
+            raise ProtocolSizeError("candidate search space exceeds the cutoff")
+        self.prog = compile_matrix(q.matrix)
+        elems = range(order)
+        zs = np.arange(order)
+        small = np.min_scalar_type(order - 1)  # field elements; sorts by radix
+        mul = np.array([[field.ops.gf_mul(a, b, field.g, field.k) for b in elems]
+                        for a in elems], dtype=small)
+        combine: dict[str, np.ndarray] = {}
+        self.coeffs: dict[int, np.ndarray] = {}
+        self.evals: dict[int, np.ndarray] = {}
+        self.keys: dict[tuple[str, int], np.ndarray] = {}
+        self.groups: dict[tuple[str, int], list[list[np.ndarray]]] = {}
+        for op, bound in zip(schedule.ops, schedule.degree_bounds):
+            if bound not in self.coeffs:
+                coeffs = _digit_rows(order, bound + 1).astype(small)
+                evals = np.zeros((len(coeffs), order), dtype=small)
+                for i in range(bound, -1, -1):  # Horner, all candidates at once
+                    evals = mul[evals, zs] ^ coeffs[:, i, None]
+                self.coeffs[bound], self.evals[bound] = coeffs, evals
+            if op.kind not in combine:
+                combine[op.kind] = np.array([
+                    [[_combine(op.kind, rho, f0, f1, field) for f1 in elems] for f0 in elems]
+                    for rho in elems
+                ], dtype=small)
+            if (op.kind, bound) not in self.keys:
+                evals = self.evals[bound]
+                keys = combine[op.kind][:, evals[:, 0], evals[:, 1]]
+                self.keys[op.kind, bound] = keys
+                by_key = np.argsort(keys, axis=1, kind="stable")
+                self.groups[op.kind, bound] = [
+                    np.split(members, np.searchsorted(row[members], zs[1:]))
+                    for row, members in zip(keys, by_key)
+                ]
 
 
 class TabulatedPolicy:
@@ -400,55 +465,64 @@ def optimal_cheater(
     max_work: int = MAX_SEARCH_WORK,
 ) -> tuple[TabulatedPolicy, Fraction]:
     """Best possible acceptance probability over all prover strategies, with
-    a policy achieving it. Explores every coefficient tuple within each
-    round's degree cap, memoized on (round, assignment, claim); the result is
-    an exact rational with denominator dividing |F|^N."""
-    schedule = schedule or build_schedule(q)
-    order = field.order
-    n_rounds = schedule.n_rounds
-    dmax = max(schedule.degree_bounds)
-    if order ** (dmax + 1) * order ** (q.n + 1) > max_work:
-        raise ProtocolSizeError("cheater search space exceeds the cutoff")
-    prog = compile_matrix(q.matrix)
-    g, k = field.g, field.k
-    ops_mod = field.ops
-    memo: dict[tuple, Fraction] = {}
-    choice: dict[tuple, UniPoly] = {}
+    a policy achieving it; the value is an exact rational with denominator
+    dividing |F|^N.
 
-    def solve(j: int, assign: tuple[int, ...], v: int) -> Fraction:
-        if j > n_rounds:
-            final = ops_mod.eval_formula(prog, assign, g, k)
-            return Fraction(1) if v == final else Fraction(0)
-        key = (j, assign, v)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
+    Bottom-up DP over rounds j = N..1. V_j[a, v] is the best acceptance
+    count from round j with assignment a and running claim v, scaled to an
+    integer by |F|^(N-j+1); V_{N+1}[a, v] is 1 when v is the matrix value at
+    a. Every coefficient tuple c within the round's degree cap is scored at
+    once as score[c] = sum_r V_{j+1}[a with x_t = r, c(r)], and V_j[a, v] is
+    the best score among the candidates whose combine value of f(0) and f(1)
+    is v.
+    Ties go to the first tuple in ``itertools.product`` order. Every
+    assignment reachable at round j (variables not yet bound are 0) is solved
+    for every claim, so ``policy.choice`` covers all of those states. Counts
+    are int64 when k*N <= 62 and Python ints otherwise."""
+    schedule = schedule or build_schedule(q)
+    tables = SearchTables(q, field, schedule, max_work)
+    order, n, n_rounds = field.order, q.n, schedule.n_rounds
+    zs = np.arange(order)
+    weight = order ** np.arange(n - 1, -1, -1, dtype=np.int64)  # code = a @ weight
+    dtype = np.int64 if field.k * n_rounds <= 62 else object
+    # round N+1: every variable is bound, only the final matrix check is left
+    finals = _digit_rows(order, n)
+    matrix = [field.ops.eval_formula(tables.prog, a, field.g, field.k)
+              for a in finals.tolist()]
+    counts = np.zeros((order ** n, order), dtype=dtype)  # V_j[code(a), v]
+    counts[finals @ weight, matrix] = 1
+    choice: dict[tuple, UniPoly] = {}
+    for j in range(n_rounds, 0, -1):
         op = schedule.ops[j - 1]
         t = op.var - 1
-        rho = assign[t]
-        best = Fraction(0)
-        best_f: UniPoly | None = None
-        for coeffs in itertools.product(range(order), repeat=schedule.degree_bounds[j - 1] + 1):
-            f0 = coeffs[0]
-            f1 = ops_mod.poly_eval(coeffs, 1, g, k)
-            if _combine(op.kind, rho, f0, f1, field) != v:
-                continue
-            total = Fraction(0)
-            for r in range(order):
-                child = assign[:t] + (r,) + assign[t + 1:]
-                total += solve(j + 1, child, ops_mod.poly_eval(coeffs, r, g, k))
-            p = total / order
-            if best_f is None or p > best:
-                best, best_f = p, coeffs
-            if best == 1:
-                break
-        assert best_f is not None  # every combine rule admits a solution
-        memo[key] = best
-        choice[key] = best_f
-        return best
-
-    value = solve(1, (0,) * q.n, 1)
-    return TabulatedPolicy(q, field, schedule, choice, value), value
+        bound = schedule.degree_bounds[j - 1]
+        coeffs, evals = tables.coeffs[bound], tables.evals[bound]
+        bound_vars = {o.var - 1 for o in schedule.ops[: j - 1]}
+        rhos = range(order) if t in bound_vars else (0,)
+        free = sorted(bound_vars - {t})
+        bases = np.zeros((order ** len(free), n), dtype=np.int64)
+        bases[:, free] = _digit_rows(order, len(free))
+        below, counts = counts, np.zeros_like(counts)
+        step = max(1, _SCORE_BLOCK // len(coeffs))
+        for lo in range(0, len(bases), step):
+            block = bases[lo: lo + step]
+            rows = np.arange(len(block))
+            # kids[b, r, e] = V_{j+1}[block[b] with x_t = r, e]
+            kids = below[(block @ weight)[:, None] + zs * weight[t]]
+            score = sum(kids[:, r, evals[:, r]] for r in range(order))
+            for rho in rhos:
+                states = block.copy()
+                states[:, t] = rho
+                codes = states @ weight
+                assigns = list(map(tuple, states.tolist()))
+                for v, members in enumerate(tables.groups[op.kind, bound][rho]):
+                    sub = score[:, members]
+                    best = sub.argmax(axis=1)  # first maximum: product order
+                    counts[codes, v] = sub[rows, best]
+                    for a, c in zip(assigns, coeffs[members[best]].tolist()):
+                        choice[j, a, v] = tuple(c)
+    p = Fraction(int(counts[0, 1]), order ** n_rounds)
+    return TabulatedPolicy(q, field, schedule, choice, p), p
 
 
 def accepting_row_messages(
@@ -457,48 +531,50 @@ def accepting_row_messages(
     r_row: Sequence[int],
     schedule: RoundSchedule | None = None,
     max_work: int = MAX_SEARCH_WORK,
+    tables: SearchTables | None = None,
 ) -> Optional[tuple[UniPoly, ...]]:
     """A message vector the verifier accepts when the whole challenge string
-    is known in advance, or None when no such vector exists. Deterministic:
-    candidates are scanned in coefficient-tuple order and the first success
-    wins. This is what a prover with full lookahead would send."""
+    is known in advance, or None when no such vector exists. This is what a
+    prover with full lookahead would send.
+
+    With the row fixed, round j's assignment is fixed too, so the state is
+    just the claim v. A boolean DP runs backward: win_{N+1}[v] holds when v
+    is the matrix value at the row's final assignment, and win_j[v] holds
+    when some candidate c with combine value v has win_{j+1}[c(r_j)]. A
+    forward pass from claim 1 then sends, each round, the first candidate in
+    ``itertools.product`` order whose combine value is the claim and whose
+    child claim can still win; that is the message vector a depth-first
+    search in product order finds. Pass ``tables`` built once for
+    (q, field, schedule) when scanning many rows; ``max_work`` is checked
+    when the tables are built."""
     schedule = schedule or build_schedule(q)
-    order = field.order
-    n_rounds = schedule.n_rounds
-    dmax = max(schedule.degree_bounds)
-    if order ** (dmax + 1) * order ** (q.n + 1) > max_work:
-        raise ProtocolSizeError("lookahead search space exceeds the cutoff")
-    if len(r_row) != n_rounds:
-        raise ValueError(f"need {n_rounds} challenges")
-    prog = compile_matrix(q.matrix)
-    g, k = field.g, field.k
-    ops_mod = field.ops
-    dead: set[tuple] = set()
-
-    def go(j: int, assign: tuple[int, ...], v: int):
-        if j > n_rounds:
-            return [] if v == ops_mod.eval_formula(prog, assign, g, k) else None
-        key = (j, assign, v)
-        if key in dead:
-            return None
-        op = schedule.ops[j - 1]
+    if tables is None:
+        tables = SearchTables(q, field, schedule, max_work)
+    if len(r_row) != schedule.n_rounds:
+        raise ValueError(f"need {schedule.n_rounds} challenges")
+    assign = [0] * q.n
+    rounds = []  # (combine keys, candidate values at r_j, degree cap)
+    for op, bound, r in zip(schedule.ops, schedule.degree_bounds, r_row):
         t = op.var - 1
-        rho = assign[t]
-        r = r_row[j - 1]
-        for coeffs in itertools.product(range(order), repeat=schedule.degree_bounds[j - 1] + 1):
-            f0 = coeffs[0]
-            f1 = ops_mod.poly_eval(coeffs, 1, g, k)
-            if _combine(op.kind, rho, f0, f1, field) != v:
-                continue
-            child = assign[:t] + (r,) + assign[t + 1:]
-            rest = go(j + 1, child, ops_mod.poly_eval(coeffs, r, g, k))
-            if rest is not None:
-                return [coeffs] + rest
-        dead.add(key)
+        rounds.append((tables.keys[op.kind, bound][assign[t]],
+                       tables.evals[bound][:, field.check(r)], bound))
+        assign[t] = r
+    final = field.ops.eval_formula(tables.prog, assign, field.g, field.k)
+    wins = [np.arange(field.order) == final]
+    for keys, child, _ in reversed(rounds):
+        win = np.zeros(field.order, dtype=bool)
+        win[keys[wins[-1][child]]] = True
+        wins.append(win)
+    wins.reverse()  # wins[j - 1] is win_j
+    if not wins[0][1]:
         return None
-
-    out = go(1, (0,) * q.n, 1)
-    return tuple(out) if out is not None else None
+    out = []
+    v = 1
+    for (keys, child, bound), win_next in zip(rounds, wins[1:]):
+        c = int(np.argmax((keys == v) & win_next[child]))
+        out.append(tuple(tables.coeffs[bound][c].tolist()))
+        v = int(child[c])
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

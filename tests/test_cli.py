@@ -173,6 +173,31 @@ def test_argparse_error_uses_prefix(capsys):
     assert "qipsim: error:" in err
 
 
+def _parse_error(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    return out.err
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_trials_must_be_positive(capsys, trials):
+    err = _parse_error(capsys, "classical", "run", "--formula", "A x1 : x1",
+                       "--k", "2", "--trials", trials)
+    assert f"qipsim: error: argument --trials: must be a positive integer, not {trials}" in err
+
+
+@pytest.mark.parametrize("flag, counts", [
+    ("--m", ["--m", "0"]),
+    ("--samples", ["--m", "1", "--u", "sample", "--samples", "-2"]),
+])
+def test_quantum_counts_must_be_positive(capsys, flag, counts):
+    err = _parse_error(capsys, "quantum", "run", "--formula", "A x1 : x1",
+                       "--k", "2", *counts)
+    assert f"qipsim: error: argument {flag}: must be a positive integer" in err
+
+
 def test_csv_formats(capsys):
     code, out, _ = run_cli(
         capsys, "classical", "run", "--formula", "E x1 : x1", "--k", "2",
