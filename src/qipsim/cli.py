@@ -42,6 +42,7 @@ from .quantum import (
     full_lookahead,
 )
 from .sumcheck import (
+    MAX_SWEEP_DRAWS,
     ProtocolSizeError,
     SearchTables,
     accepting_row_messages,
@@ -169,6 +170,8 @@ def cmd_classical_exhaustive(args) -> dict:
         result["within_cap"] = value <= cap
     else:  # lookahead:full
         total = field.order ** schedule.n_rounds
+        if total > MAX_SWEEP_DRAWS:
+            raise ProtocolSizeError("challenge space exceeds the exhaustive cutoff")
         tables = SearchTables(q, field, schedule)
         winnable = 0
         for row in itertools.product(field.elements(), repeat=schedule.n_rounds):

@@ -24,11 +24,16 @@ the whole state, so uniform superpositions over non-square branch counts
 stay exact and every reported probability is a Fraction. A dense
 state-vector oracle (complex floats, explicit Hadamard and permutation
 gates) cross-checks the closed-form acceptance rule at small sizes.
+
+A row prover answers each row from that row's challenges alone, so the
+state is a product over rows and every result factors by row;
+``QuantumProtocol.run`` then simulates one row and multiplies out.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections.abc import Callable, Hashable, Iterable, Sequence
 from dataclasses import dataclass
@@ -53,6 +58,8 @@ MAX_DENSE_QUBITS = 26
 
 RMatrix = tuple[tuple[int, ...], ...]
 FMatrix = tuple[tuple[UniPoly, ...], ...]
+# (step-1 pass, [(u, joint acceptance)], per-row resume-union events or None)
+RunResult = tuple[Fraction, list[tuple[tuple[int, ...], Fraction]], Optional[list[Fraction]]]
 
 
 class SparseShapeError(RuntimeError):
@@ -161,13 +168,6 @@ class SparseState:
 # uncompute that reruns the same message function on S.
 
 
-class HonestProver:
-    """Uniform over all challenge matrices with the correct messages."""
-
-    def f_matrix(self, R: RMatrix, oracle: TranscriptOracle) -> FMatrix:
-        return tuple(oracle.correct_row(row) for row in R)
-
-
 class LookaheadProver:
     """Messages computed by an arbitrary function of the whole challenge
     matrix, so a message column may depend on later challenge columns."""
@@ -177,6 +177,29 @@ class LookaheadProver:
 
     def f_matrix(self, R: RMatrix, oracle: TranscriptOracle) -> FMatrix:
         return self.phi(R)
+
+
+class RowProver(LookaheadProver):
+    """Uniform over all challenge matrices, with each row's messages a
+    function of that row's challenges alone (which may still look ahead
+    within the row). The rows never interact, so ``QuantumProtocol.run``
+    simulates one row and multiplies the results out."""
+
+    def __init__(self, row_phi: Callable[[tuple[int, ...]], tuple[UniPoly, ...]]):
+        self.row_phi = row_phi
+        super().__init__(lambda R: tuple(row_phi(row) for row in R))
+
+
+class HonestProver(RowProver):
+    """Uniform over all challenge matrices with the correct messages."""
+
+    def __init__(self):
+        # The correct messages come from the oracle f_matrix is given, so
+        # there is no stored row function.
+        self.row_phi = self.phi = None
+
+    def f_matrix(self, R: RMatrix, oracle: TranscriptOracle) -> FMatrix:
+        return tuple(oracle.correct_row(row) for row in R)
 
 
 class BiasedSupportProver:
@@ -201,11 +224,11 @@ class BiasedSupportProver:
         return tuple(oracle.correct_row(row) for row in R)
 
 
-ProverSpec = HonestProver | LookaheadProver | BiasedSupportProver
+ProverSpec = LookaheadProver | BiasedSupportProver
 
 
 def full_lookahead(q: PrenexQbf, field: Field,
-                   schedule: RoundSchedule | None = None) -> LookaheadProver:
+                   schedule: RoundSchedule | None = None) -> RowProver:
     """The canonical cheating strategy: for each row, read the entire
     challenge row and send some message vector the classical verifier
     accepts for it, falling back to the honest messages when none exists."""
@@ -222,7 +245,7 @@ def full_lookahead(q: PrenexQbf, field: Field,
             memo[r_row] = out
         return out
 
-    return LookaheadProver(lambda R: tuple(row_phi(row) for row in R))
+    return RowProver(row_phi)
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +544,74 @@ class QuantumProtocol:
             itertools.product(range(1, self.layout.n_rounds + 1), repeat=self.copies)
         )
 
+    def _draw_us(self, u_mode: str, samples: int, seed: int) -> list[tuple[int, ...]]:
+        if u_mode == "exhaustive":
+            return self.all_u()
+        if u_mode == "sample":
+            if samples < 1:
+                raise ValueError("sample mode needs samples >= 1")
+            rng = random.Random(seed)
+            return [
+                tuple(rng.randrange(1, self.layout.n_rounds + 1)
+                      for _ in range(self.copies))
+                for _ in range(samples)
+            ]
+        raise ValueError("u_mode must be 'exhaustive' or 'sample'")
+
+    def _run_joint(
+        self, spec: ProverSpec, u_mode: str, samples: int, seed: int,
+        include_events: bool,
+    ) -> RunResult:
+        """Step-1 pass, per-u acceptance and per-row events, simulated on
+        the whole sparse state."""
+        state = self.prepare_round1(spec)
+        step1_pass, filtered = self.step1_filter(state)
+        us = self._draw_us(u_mode, samples, seed)
+        per_u: list[tuple[tuple[int, ...], Fraction]] = []
+        for u in us:
+            if step1_pass == 0:
+                per_u.append((u, Fraction(0)))
+                continue
+            after = self.apply_round2_and_cancel(filtered, u, spec)
+            per_u.append((u, self.step4_accept_prob(after, u)))
+        events = None
+        if include_events and step1_pass > 0:
+            events = [
+                self.resume_union_probability(filtered, i)
+                for i in range(1, self.copies + 1)
+            ]
+        return step1_pass, per_u, events
+
+    def _run_by_row(
+        self, spec: RowProver, u_mode: str, samples: int, seed: int,
+        include_events: bool,
+    ) -> RunResult:
+        """The same results as ``_run_joint`` for a row prover, from one
+        simulated row. The round-1 state is a product over rows, and step 1,
+        round 2 and the step-4 groups all act row by row, so the step-1
+        pass is p^m, accept(u) is the product of the one-row joint
+        probabilities a(u_i), and each row's conditional events are the
+        one-row ones."""
+        n_rounds = self.layout.n_rounds
+        if u_mode == "exhaustive" and n_rounds ** self.copies > self.max_branches:
+            raise ProtocolSizeError(
+                f"{n_rounds ** self.copies} u vectors exceed the sparse cutoff "
+                f"{self.max_branches}"
+            )
+        one = QuantumProtocol(self.q, self.field, 1, self.max_branches)
+        p, row_per_u, row_events = one._run_joint(spec, "exhaustive", 0, 0, include_events)
+        # Integer products, one reduction per u: Fraction products reduce
+        # at every factor.
+        nums = [acc.numerator for _, acc in row_per_u]
+        dens = [acc.denominator for _, acc in row_per_u]
+        per_u = [
+            (u, Fraction(math.prod(nums[x - 1] for x in u),
+                         math.prod(dens[x - 1] for x in u)))
+            for u in self._draw_us(u_mode, samples, seed)
+        ]
+        events = None if row_events is None else row_events * self.copies
+        return p ** self.copies, per_u, events
+
     def run(
         self,
         spec: ProverSpec,
@@ -529,30 +620,19 @@ class QuantumProtocol:
         seed: int = 0,
         include_events: bool = True,
     ) -> QuantumRunReport:
+        """Exact run over every u in {1..N}^m or over sampled ones. A row
+        prover (``RowProver``, ``HonestProver``, ``full_lookahead``) with
+        m > 1 is simulated on one row of |F|^N branches, so ``max_branches``
+        bounds |F|^N and, in exhaustive mode, the N^m u vectors; any other
+        prover is simulated jointly on |F|^(mN) branches."""
         from .bounds import BoundParams, soundness_bound
 
-        state = self.prepare_round1(spec)
-        step1_pass, filtered = self.step1_filter(state)
-        if u_mode == "exhaustive":
-            us = self.all_u()
-        elif u_mode == "sample":
-            if samples < 1:
-                raise ValueError("sample mode needs samples >= 1")
-            rng = random.Random(seed)
-            us = [
-                tuple(rng.randrange(1, self.layout.n_rounds + 1)
-                      for _ in range(self.copies))
-                for _ in range(samples)
-            ]
+        if isinstance(spec, RowProver) and self.copies > 1:
+            step1_pass, per_u, events = self._run_by_row(
+                spec, u_mode, samples, seed, include_events)
         else:
-            raise ValueError("u_mode must be 'exhaustive' or 'sample'")
-        per_u: list[tuple[tuple[int, ...], Fraction]] = []
-        for u in us:
-            if step1_pass == 0:
-                per_u.append((u, Fraction(0)))
-                continue
-            after = self.apply_round2_and_cancel(filtered, u, spec)
-            per_u.append((u, self.step4_accept_prob(after, u)))
+            step1_pass, per_u, events = self._run_joint(
+                spec, u_mode, samples, seed, include_events)
         mean = sum((a for _, a in per_u), Fraction(0)) / len(per_u)
         sb = soundness_bound(BoundParams(
             d=self.schedule.degree_bound,
@@ -560,12 +640,6 @@ class QuantumProtocol:
             m=self.copies,
             k=self.field.k,
         ))
-        events = None
-        if include_events and step1_pass > 0:
-            events = [
-                self.resume_union_probability(filtered, i)
-                for i in range(1, self.copies + 1)
-            ]
         return QuantumRunReport(
             params={
                 "n": self.q.n,

@@ -418,10 +418,13 @@ class SearchTables:
                     evals = mul[evals, zs] ^ coeffs[:, i, None]
                 self.coeffs[bound], self.evals[bound] = coeffs, evals
             if op.kind not in combine:
-                combine[op.kind] = np.array([
+                # Quantifier rules ignore rho: fill one slice, broadcast it.
+                rhos = elems if op.kind == "reduce" else (0,)
+                table = np.array([
                     [[_combine(op.kind, rho, f0, f1, field) for f1 in elems] for f0 in elems]
-                    for rho in elems
+                    for rho in rhos
                 ], dtype=small)
+                combine[op.kind] = np.broadcast_to(table, (order, order, order))
             if (op.kind, bound) not in self.keys:
                 evals = self.evals[bound]
                 keys = combine[op.kind][:, evals[:, 0], evals[:, 1]]

@@ -8,10 +8,12 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from cheater_oracle import oracle_cheater, oracle_row_messages
+from strategies import formulas
 from qipsim.gf2k import Field
 from qipsim.qbf import parse_qbf
 from qipsim.sumcheck import (
     SearchTables,
+    _combine,
     accepting_row_messages,
     build_schedule,
     optimal_cheater,
@@ -23,28 +25,14 @@ from qipsim.sumcheck import (
 ORACLE_WORK = 4096
 
 
-def _matrices(n: int):
-    leaves = st.integers(1, n).map(lambda i: f"x{i}")
-    return st.recursive(
-        leaves,
-        lambda sub: st.one_of(
-            sub.map(lambda e: f"~{e}"),
-            st.tuples(sub, st.sampled_from("&|"), sub).map(lambda t: "(%s %s %s)" % t),
-        ),
-        max_leaves=4,
-    )
-
-
 @st.composite
 def instances(draw, ks):
     """(q, field, schedule) for a random prenex formula with n <= 2."""
-    n = draw(st.integers(1, 2))
-    prefix = " ".join(f"{draw(st.sampled_from('AE'))} x{i}" for i in range(1, n + 1))
-    q = parse_qbf(f"{prefix} : {draw(_matrices(n))}")
+    q = draw(formulas())
     field = Field(draw(st.sampled_from(ks)))
     schedule = build_schedule(q)
-    assume(field.order ** (n + max(schedule.degree_bounds) + 1) <= ORACLE_WORK)
-    event(f"n={n} k={field.k}")
+    assume(field.order ** (q.n + max(schedule.degree_bounds) + 1) <= ORACLE_WORK)
+    event(f"n={q.n} k={field.k}")
     return q, field, schedule
 
 
@@ -68,6 +56,27 @@ def test_row_search_matches_oracle(inst):
     for row in itertools.product(field.elements(), repeat=schedule.n_rounds):
         got = accepting_row_messages(q, field, row, schedule, tables=tables)
         assert got == oracle_row_messages(q, field, row, schedule), row
+
+
+def test_combine_keys_match_brute_force():
+    # quantifier rounds fill one rho slice and broadcast it; every slice must
+    # still be the combine rule itself
+    for text in ("E x1 A x2 : x1 & x2", "A x1 : x1 & x1 & x1"):
+        q = parse_qbf(text)
+        schedule = build_schedule(q)
+        for k in (1, 2, 3):
+            field = Field(k)
+            tables = SearchTables(q, field, schedule)
+            assert {kind for kind, _ in tables.keys} == {op.kind for op in schedule.ops}
+            for (kind, bound), keys in tables.keys.items():
+                f01 = tables.evals[bound][:, :2].tolist()
+                want = [[_combine(kind, rho, f0, f1, field) for f0, f1 in f01]
+                        for rho in field.elements()]
+                assert keys.tolist() == want, (text, k, kind, bound)
+                for rho, groups in enumerate(tables.groups[kind, bound]):
+                    for v, members in enumerate(groups):
+                        assert members.tolist() == [
+                            c for c, key in enumerate(want[rho]) if key == v]
 
 
 def test_cubic_k4_frozen_and_realized():

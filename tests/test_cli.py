@@ -71,6 +71,18 @@ def test_classical_exhaustive_modes(capsys):
     assert res["winnable_fraction"]["rational"] == "15/16"
 
 
+@pytest.mark.parametrize("prover", ["honest", "lookahead:full"])
+def test_classical_exhaustive_row_cutoff(capsys, prover):
+    # N = 27 rounds at k=1: 2^27 challenge rows, past the sweep cutoff
+    xs = [f"x{i}" for i in range(1, 7)]
+    text = " ".join(f"A {x}" for x in xs) + " : " + " & ".join(xs)
+    code, out, err = run_cli(capsys, "classical", "exhaustive", "--formula", text,
+                             "--k", "1", "--prover", prover)
+    assert code == 2 and out == ""
+    assert err.startswith("qipsim: error:")
+    assert "exhaustive cutoff" in err
+
+
 def test_quantum_run_honest_exact_one(capsys):
     doc = run_json(
         capsys, "quantum", "run", "--formula", "E x1 : x1",
@@ -105,6 +117,18 @@ def test_quantum_run_sample_mode_deterministic(capsys):
     b = run_json(capsys, *argv)
     assert a == b
     assert len(a["result"]["per_u"]) == 6
+
+
+def test_quantum_run_rows_past_joint_cap(capsys):
+    # 16^6 joint branches; the row path simulates 16^2
+    doc = run_json(
+        capsys, "quantum", "run", "--formula", "A x1 : x1",
+        "--k", "4", "--m", "3", "--prover", "lookahead:full",
+    )
+    res = doc["result"]
+    assert res["params"]["m"] == 3 and len(res["per_u"]) == 8
+    assert res["mean_accept"]["rational"] == "384573652461361/2251799813685248"  # (72721/131072)^3
+    assert res["per_u"][0]["step1_pass"]["rational"] == "16581375/16777216"
 
 
 def test_byte_identical_reports(capsys):

@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
+from strategies import formulas
 from qipsim.gf2k import Field
 from qipsim.qbf import parse_qbf
 from qipsim.quantum import (
@@ -15,6 +18,7 @@ from qipsim.quantum import (
     LookaheadProver,
     QuantumProtocol,
     RegisterLayout,
+    RowProver,
     SparseShapeError,
     SparseState,
     apply_hadamard,
@@ -273,6 +277,60 @@ def test_run_sample_mode():
         proto.run(HonestProver(), u_mode="sample", samples=0)
     with pytest.raises(ValueError):
         proto.run(HonestProver(), u_mode="diagonal")
+
+
+# Joint-engine work of one generated example, branches times u vectors; the
+# largest admitted (n=2, k=1, m=2: 1024 x 25) runs in about a second.
+JOINT_WORK = 30_000
+
+
+@settings(max_examples=25)
+@given(formulas(), st.sampled_from((1, 2)), st.sampled_from((2, 3)),
+       st.sampled_from(("honest", "lookahead")), st.integers(0, 1 << 32))
+def test_row_path_matches_joint_engine(q, k, m, kind, seed):
+    f = Field(k)
+    proto = QuantumProtocol(q, f, m)
+    n_rounds = proto.layout.n_rounds
+    branches = f.order ** (m * n_rounds)
+    assume(branches <= proto.max_branches and branches * n_rounds ** m <= JOINT_WORK)
+    event(f"n={q.n} k={k} m={m}")
+    spec = HonestProver() if kind == "honest" else full_lookahead(q, f)
+    assert isinstance(spec, RowProver)
+    # the same messages behind a whole-matrix prover take the joint path
+    joint = LookaheadProver(lambda R: spec.f_matrix(R, proto.oracle))
+    for mode in ({}, {"u_mode": "sample", "samples": 6, "seed": seed}):
+        row, ref = proto.run(spec, **mode), proto.run(joint, **mode)
+        assert row.to_dict() == ref.to_dict()
+        assert (row.u_mode, row.seed) == (ref.u_mode, ref.seed)
+
+
+def test_row_path_reach_frozen():
+    q = parse_qbf("A x1 : x1")
+    f = Field(4)
+    spec = full_lookahead(q, f)
+    # m=2 fills the joint engine's 65536-branch cap; it agrees with these
+    r2 = QuantumProtocol(q, f, 2).run(spec)
+    assert r2.step1_pass == Fraction(65025, 65536)
+    assert r2.mean_accept == Fraction(5288343841, 17179869184)
+    proto3 = QuantumProtocol(q, f, 3)
+    with pytest.raises(ProtocolSizeError):
+        proto3.run(LookaheadProver(spec.phi))
+    r3 = proto3.run(spec)
+    assert r3.step1_pass == Fraction(16581375, 16777216)
+    assert r3.mean_accept == Fraction(72721, 131072) ** 3
+    assert r3.events == [Fraction(1)] * 3
+
+
+def test_row_path_cutoffs():
+    q = parse_qbf("E x1 : x1")  # N = 2
+    proto = QuantumProtocol(q, Field(1), 17)
+    with pytest.raises(ProtocolSizeError):
+        proto.run(HonestProver())  # 2^17 u vectors
+    sampled = proto.run(HonestProver(), u_mode="sample", samples=3, seed=1)
+    assert sampled.mean_accept == 1 and len(sampled.per_u) == 3
+    small = QuantumProtocol(q, Field(4), 2, max_branches=255)
+    with pytest.raises(ProtocolSizeError):
+        small.run(HonestProver(), u_mode="sample", samples=1)  # 256 branches per row
 
 
 def test_report_document_shape():

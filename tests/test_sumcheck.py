@@ -4,9 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from strategies import formulas
 from qipsim.gf2k import Field, poly_degree, poly_trim
-from qipsim.qbf import parse_qbf
+from qipsim.qbf import eval_qbf, parse_qbf
 from qipsim.sumcheck import (
     ProtocolSizeError,
     Transcript,
@@ -183,6 +186,12 @@ def test_honest_sweeps():
         assert not honest_always_accepts(q, Field(2)), text
 
 
+@settings(max_examples=60)
+@given(formulas(), st.sampled_from((1, 2)))
+def test_honest_sweep_matches_eval_qbf(q, k):
+    assert honest_always_accepts(q, Field(k)) == eval_qbf(q)
+
+
 def test_honest_sweep_cutoff():
     q = parse_qbf("E x1 : x1")
     with pytest.raises(ProtocolSizeError):
@@ -263,6 +272,17 @@ def test_transcript_json_roundtrip():
     text = json.dumps(doc)
     back = transcript_from_dict(json.loads(text))
     assert back == tr
+
+
+@settings(max_examples=60)
+@given(formulas(), st.sampled_from((1, 2, 3, 8)), st.booleans(),
+       st.integers(0, (1 << 64) - 1))
+def test_transcript_dict_roundtrip_generated(q, k, cheat, seed):
+    # cheating at k <= 2 adds rejections with notes to the honest ones
+    f = Field(k)
+    policy = optimal_cheater(q, f)[0] if cheat and k <= 2 else honest_policy(q, f)
+    tr = run_protocol(q, f, policy, rng=seed)
+    assert transcript_from_dict(json.loads(json.dumps(tr.to_dict()))) == tr
 
 
 def test_optimal_cheater_frozen_value():
