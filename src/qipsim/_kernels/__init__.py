@@ -4,7 +4,8 @@ The compiled backend (``_fastcore``, Cython) is preferred when present; the
 pure-Python twin is the fallback. Set ``QIPSIM_KERNELS=pure`` or ``fast`` to
 force a choice (``fast`` raises if the extension was not built). Both backends
 expose the same hot-kernel functions and are parity-tested against each other;
-field construction helpers always come from the pure module.
+field construction helpers always come from the pure module, and so does the
+verifier's round rule ``combine``, run on the active backend's multiply.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ def _select():
 
 active = _select()
 backend_name: str = active.NAME
+combine = purepy.combine_rule(active.gf_mul)
 
 
 def backends() -> dict[str, object]:

@@ -84,7 +84,8 @@ def find_modulus(k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Hot kernels. All of these have compiled twins.
+# Hot kernels. All but ``combine`` have compiled twins, which inline their own
+# C copy of it; ``qipsim._kernels.combine`` runs it on the active multiply.
 
 
 def _mulmod(a: int, b: int, g: int, k: int) -> int:
@@ -182,6 +183,25 @@ def eval_formula(prog: Sequence[int], assign: Sequence[int], g: int, k: int) -> 
     return stack[-1]
 
 
+def combine_rule(gf_mul):
+    """The verifier's round rule on the given field multiply: the value f(0)
+    and f(1) must combine to when the round variable held rho. forall f0*f1,
+    exists f0+f1+f0*f1, reduce (1+rho)*f0 + rho*f1 (characteristic 2, so
+    1+rho == rho^1)."""
+
+    def combine(kind: int, rho: int, f0: int, f1: int, g: int, k: int) -> int:
+        if kind == K_FORALL:
+            return gf_mul(f0, f1, g, k)
+        if kind == K_EXISTS:
+            return f0 ^ f1 ^ gf_mul(f0, f1, g, k)
+        return gf_mul(rho ^ 1, f0, g, k) ^ gf_mul(rho, f1, g, k)
+
+    return combine
+
+
+combine = combine_rule(gf_mul)
+
+
 def quantified_value(
     kinds: Sequence[int],
     tvars: Sequence[int],
@@ -203,13 +223,7 @@ def quantified_value(
     assign[t] = 1
     v1 = quantified_value(kinds, tvars, start + 1, prog, assign, g, k)
     assign[t] = old
-    kind = kinds[start]
-    if kind == K_FORALL:
-        return gf_mul(v0, v1, g, k)
-    if kind == K_EXISTS:
-        return v0 ^ v1 ^ gf_mul(v0, v1, g, k)
-    # degree reduction: (1 + old)*v0 + old*v1, char-2 so 1+old == old^1
-    return gf_mul(old ^ 1, v0, g, k) ^ gf_mul(old, v1, g, k)
+    return combine(kinds[start], old, v0, v1, g, k)
 
 
 def honest_sweep(
@@ -242,16 +256,7 @@ def honest_sweep(
             ys.append(quantified_value(kinds, tvars, j + 1, prog, assign, g, k))
         assign[t] = old
         cs = interpolate(range(npts), ys, g, k)
-        c0, c1 = ys[0], ys[1]
-        kind = kinds[j]
-        if kind == K_FORALL:
-            comb = gf_mul(c0, c1, g, k)
-        elif kind == K_EXISTS:
-            comb = c0 ^ c1 ^ gf_mul(c0, c1, g, k)
-        else:
-            comb = gf_mul(old ^ 1, c0, g, k) ^ gf_mul(old, c1, g, k)
-        if comb != v:
-            assign[t] = old
+        if combine(kinds[j], old, ys[0], ys[1], g, k) != v:
             return False
         for r in range(size):
             assign[t] = r

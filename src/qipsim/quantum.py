@@ -58,8 +58,13 @@ MAX_DENSE_QUBITS = 26
 
 RMatrix = tuple[tuple[int, ...], ...]
 FMatrix = tuple[tuple[UniPoly, ...], ...]
-# (step-1 pass, [(u, joint acceptance)], per-row resume-union events or None)
-RunResult = tuple[Fraction, list[tuple[tuple[int, ...], Fraction]], Optional[list[Fraction]]]
+PerU = list[tuple[tuple[int, ...], Fraction]]  # [(u, joint acceptance)]
+# (step-1 pass, per u, mean over those u, per-row resume-union events or None)
+RunResult = tuple[Fraction, PerU, Fraction, Optional[list[Fraction]]]
+
+
+def _mean(per_u: PerU) -> Fraction:
+    return sum((a for _, a in per_u), Fraction(0)) / len(per_u)
 
 
 class SparseShapeError(RuntimeError):
@@ -283,7 +288,7 @@ class EventQuery:
 class QuantumRunReport:
     params: dict
     step1_pass: Fraction
-    per_u: list[tuple[tuple[int, ...], Fraction]]
+    per_u: PerU
     mean_accept: Fraction
     bound: dict
     u_mode: str
@@ -567,7 +572,7 @@ class QuantumProtocol:
         state = self.prepare_round1(spec)
         step1_pass, filtered = self.step1_filter(state)
         us = self._draw_us(u_mode, samples, seed)
-        per_u: list[tuple[tuple[int, ...], Fraction]] = []
+        per_u: PerU = []
         for u in us:
             if step1_pass == 0:
                 per_u.append((u, Fraction(0)))
@@ -580,7 +585,7 @@ class QuantumProtocol:
                 self.resume_union_probability(filtered, i)
                 for i in range(1, self.copies + 1)
             ]
-        return step1_pass, per_u, events
+        return step1_pass, per_u, _mean(per_u), events
 
     def _run_by_row(
         self, spec: RowProver, u_mode: str, samples: int, seed: int,
@@ -591,7 +596,8 @@ class QuantumProtocol:
         round 2 and the step-4 groups all act row by row, so the step-1
         pass is p^m, accept(u) is the product of the one-row joint
         probabilities a(u_i), and each row's conditional events are the
-        one-row ones."""
+        one-row ones. Over every u the mean is the one-row mean to the m-th
+        power, so exhaustive mode never sums the N^m products."""
         n_rounds = self.layout.n_rounds
         if u_mode == "exhaustive" and n_rounds ** self.copies > self.max_branches:
             raise ProtocolSizeError(
@@ -599,7 +605,8 @@ class QuantumProtocol:
                 f"{self.max_branches}"
             )
         one = QuantumProtocol(self.q, self.field, 1, self.max_branches)
-        p, row_per_u, row_events = one._run_joint(spec, "exhaustive", 0, 0, include_events)
+        p, row_per_u, row_mean, row_events = one._run_joint(
+            spec, "exhaustive", 0, 0, include_events)
         # Integer products, one reduction per u: Fraction products reduce
         # at every factor.
         nums = [acc.numerator for _, acc in row_per_u]
@@ -609,8 +616,9 @@ class QuantumProtocol:
                          math.prod(dens[x - 1] for x in u)))
             for u in self._draw_us(u_mode, samples, seed)
         ]
+        mean = row_mean ** self.copies if u_mode == "exhaustive" else _mean(per_u)
         events = None if row_events is None else row_events * self.copies
-        return p ** self.copies, per_u, events
+        return p ** self.copies, per_u, mean, events
 
     def run(
         self,
@@ -628,12 +636,11 @@ class QuantumProtocol:
         from .bounds import BoundParams, soundness_bound
 
         if isinstance(spec, RowProver) and self.copies > 1:
-            step1_pass, per_u, events = self._run_by_row(
+            step1_pass, per_u, mean, events = self._run_by_row(
                 spec, u_mode, samples, seed, include_events)
         else:
-            step1_pass, per_u, events = self._run_joint(
+            step1_pass, per_u, mean, events = self._run_joint(
                 spec, u_mode, samples, seed, include_events)
-        mean = sum((a for _, a in per_u), Fraction(0)) / len(per_u)
         sb = soundness_bound(BoundParams(
             d=self.schedule.degree_bound,
             n_rounds=self.layout.n_rounds,

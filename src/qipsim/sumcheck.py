@@ -11,8 +11,9 @@ Round j: the prover sends coefficients f_j (degree capped per round), the
 verifier combines f_j(0) and f_j(1) with the round operator's rule and
 compares against the running claim, then draws a uniform field element r_j
 and carries f_j(r_j) forward. After round N the claim must equal the
-arithmetized matrix at the accumulated assignment. Combine rules, writing
-rho for the variable's value before the round (characteristic 2):
+arithmetized matrix at the accumulated assignment. Combine rules
+(``_kernels.combine``), writing rho for the variable's value before the
+round (characteristic 2):
 
     forall   f(0) * f(1)
     exists   f(0) + f(1) + f(0) f(1)
@@ -27,7 +28,7 @@ already contradicts the claim.
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Protocol
@@ -90,14 +91,6 @@ def build_schedule(q: PrenexQbf) -> RoundSchedule:
             ops.append(Operator("reduce", t))
             bounds.append(max(2, per_var[t - 1]) if last_block else 2)
     return RoundSchedule(tuple(ops), tuple(bounds), d)
-
-
-def _combine(kind: str, rho: int, f0: int, f1: int, field: Field) -> int:
-    if kind == "forall":
-        return field.mul(f0, f1)
-    if kind == "exists":
-        return f0 ^ f1 ^ field.mul(f0, f1)
-    return field.mul(rho ^ 1, f0) ^ field.mul(rho, f1)
 
 
 def partial_value(
@@ -181,22 +174,7 @@ def check_transcript(
     n_rounds = schedule.n_rounds
     if len(r) != n_rounds or len(f) != n_rounds:
         raise ValueError(f"transcript must carry {n_rounds} rounds")
-    assign = [0] * q.n
-    v = 1
-    for j in range(1, n_rounds + 1):
-        op = schedule.ops[j - 1]
-        fj = f[j - 1]
-        if poly_degree(fj) > schedule.degree_bounds[j - 1]:
-            return j
-        f0 = field.poly_eval(fj, 0)
-        f1 = field.poly_eval(fj, 1)
-        if _combine(op.kind, assign[op.var - 1], f0, f1, field) != v:
-            return j
-        assign[op.var - 1] = field.check(r[j - 1])
-        v = field.poly_eval(fj, r[j - 1])
-    if v != arith_eval(q.matrix, assign, field):
-        return n_rounds
-    return None
+    return _verify(q, schedule, field, lambda j, r_prefix, sent: f[j - 1], r).reject_round
 
 
 def transcript_valid(
@@ -290,9 +268,16 @@ def run_with_randomness(
     stops at the first failed check; a policy exception is recorded as a
     rejection at the round it occurred."""
     schedule = schedule or build_schedule(q)
+    if len(r_seq) != schedule.n_rounds:
+        raise ValueError(f"need {schedule.n_rounds} challenges")
+    return _verify(q, schedule, field, policy.next_poly, r_seq)
+
+
+def _verify(q: PrenexQbf, schedule: RoundSchedule, field: Field,
+            next_poly: Callable, r_seq: Sequence[int]) -> Transcript:
+    """The verifier loop shared by live runs and finished transcripts;
+    ``next_poly`` has the signature of ``ProverPolicy.next_poly``."""
     n_rounds = schedule.n_rounds
-    if len(r_seq) != n_rounds:
-        raise ValueError(f"need {n_rounds} challenges")
     assign = [0] * q.n
     v = 1
     sent: list[UniPoly] = []
@@ -307,7 +292,7 @@ def run_with_randomness(
     for j in range(1, n_rounds + 1):
         op = schedule.ops[j - 1]
         try:
-            fj = tuple(policy.next_poly(j, tuple(r_used), tuple(sent)))
+            fj = tuple(next_poly(j, tuple(r_used), tuple(sent)))
         except Exception as exc:  # prover failure is a protocol rejection
             return reject(j, f"prover error: {exc!r}")
         sent.append(fj)
@@ -315,7 +300,8 @@ def run_with_randomness(
             return reject(j, "degree bound exceeded")
         f0 = field.poly_eval(fj, 0)
         f1 = field.poly_eval(fj, 1)
-        if _combine(op.kind, assign[op.var - 1], f0, f1, field) != v:
+        rule = _KIND_CODE[op.kind]
+        if _kernels.combine(rule, assign[op.var - 1], f0, f1, field.g, field.k) != v:
             return reject(j)
         rj = field.check(r_seq[j - 1])
         r_used.append(rj)
@@ -387,10 +373,10 @@ class SearchTables:
     ``evals[D][c, r]`` is that polynomial at field element r. For each
     round's (kind, D), ``keys[kind, D][rho, c]`` is the verifier's combine
     value of candidate c's f(0) and f(1) when the round variable holds rho,
-    read from a table filled by ``_combine``; ``groups[kind, D][rho][v]`` lists,
-    in product order, the candidates whose combine value is v. ``prog`` is
-    the compiled matrix. Building raises ProtocolSizeError past the search
-    cutoff.
+    read from a table filled by ``_kernels.combine``; ``groups[kind, D][rho][v]``
+    lists, in product order, the candidates whose combine value is v.
+    ``prog`` is the compiled matrix. Building raises ProtocolSizeError past
+    the search cutoff.
     """
 
     def __init__(self, q: PrenexQbf, field: Field, schedule: RoundSchedule,
@@ -420,8 +406,10 @@ class SearchTables:
             if op.kind not in combine:
                 # Quantifier rules ignore rho: fill one slice, broadcast it.
                 rhos = elems if op.kind == "reduce" else (0,)
+                rule = _KIND_CODE[op.kind]
                 table = np.array([
-                    [[_combine(op.kind, rho, f0, f1, field) for f1 in elems] for f0 in elems]
+                    [[_kernels.combine(rule, rho, f0, f1, field.g, field.k) for f1 in elems]
+                     for f0 in elems]
                     for rho in rhos
                 ], dtype=small)
                 combine[op.kind] = np.broadcast_to(table, (order, order, order))
@@ -438,8 +426,9 @@ class SearchTables:
 
 class TabulatedPolicy:
     """Policy replaying per-state choices computed by a solver. The state
-    (round, assignment, running claim) is reconstructed from the challenge
-    prefix and the policy's own earlier messages."""
+    (round, assignment, running claim) is read off the challenge prefix and
+    the last message sent: the claim is that message at the last challenge,
+    1 before round 1."""
 
     def __init__(self, q: PrenexQbf, field: Field, schedule: RoundSchedule,
                  choice: dict, value: Fraction):
@@ -450,14 +439,8 @@ class TabulatedPolicy:
         self.value = value
 
     def next_poly(self, j, r_prefix, sent):
-        assign = (0,) * self.q.n
-        v = 1
-        for i in range(1, j):
-            coeffs = self.choice[(i, assign, v)]
-            t = self.schedule.ops[i - 1].var - 1
-            r = r_prefix[i - 1]
-            v = self.field.poly_eval(coeffs, r)
-            assign = assign[:t] + (r,) + assign[t + 1:]
+        assign = tuple(_prefix_assignment(self.schedule, self.q.n, r_prefix))
+        v = self.field.poly_eval(sent[-1], r_prefix[-1]) if sent else 1
         return self.choice[(j, assign, v)]
 
 

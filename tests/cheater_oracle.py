@@ -4,8 +4,8 @@ These are the memoized top-down recursion and the depth-first search that
 ``qipsim.sumcheck`` used before its bottom-up tables. They try one candidate
 polynomial at a time with ``Fraction`` arithmetic and explore only states
 reachable from the root, so they stay small enough to read and independent
-enough to check the fast path against. No cutoff guard: callers keep sizes
-small.
+enough to check the fast path against: they carry their own copy of the
+verifier's round rule. No cutoff guard: callers keep sizes small.
 """
 
 from __future__ import annotations
@@ -14,7 +14,16 @@ import itertools
 from fractions import Fraction
 
 from qipsim.qbf import compile_matrix
-from qipsim.sumcheck import _combine, build_schedule
+from qipsim.sumcheck import build_schedule
+
+
+def combine(kind, rho, f0, f1, field):
+    """The round rule, written out independently of ``qipsim._kernels``."""
+    if kind == "forall":
+        return field.mul(f0, f1)
+    if kind == "exists":
+        return f0 ^ f1 ^ field.mul(f0, f1)
+    return field.mul(rho ^ 1, f0) ^ field.mul(rho, f1)
 
 
 def oracle_cheater(q, field, schedule=None):
@@ -45,7 +54,7 @@ def oracle_cheater(q, field, schedule=None):
         for coeffs in itertools.product(range(order), repeat=schedule.degree_bounds[j - 1] + 1):
             f0 = coeffs[0]
             f1 = ops_mod.poly_eval(coeffs, 1, g, k)
-            if _combine(op.kind, rho, f0, f1, field) != v:
+            if combine(op.kind, rho, f0, f1, field) != v:
                 continue
             total = Fraction(0)
             for r in range(order):
@@ -88,7 +97,7 @@ def oracle_row_messages(q, field, r_row, schedule=None):
         for coeffs in itertools.product(range(order), repeat=schedule.degree_bounds[j - 1] + 1):
             f0 = coeffs[0]
             f1 = ops_mod.poly_eval(coeffs, 1, g, k)
-            if _combine(op.kind, rho, f0, f1, field) != v:
+            if combine(op.kind, rho, f0, f1, field) != v:
                 continue
             child = assign[:t] + (r,) + assign[t + 1:]
             rest = go(j + 1, child, ops_mod.poly_eval(coeffs, r, g, k))

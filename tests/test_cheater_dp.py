@@ -7,13 +7,12 @@ from fractions import Fraction
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from cheater_oracle import oracle_cheater, oracle_row_messages
+from cheater_oracle import combine, oracle_cheater, oracle_row_messages
 from strategies import formulas
 from qipsim.gf2k import Field
 from qipsim.qbf import parse_qbf
 from qipsim.sumcheck import (
     SearchTables,
-    _combine,
     accepting_row_messages,
     build_schedule,
     optimal_cheater,
@@ -50,6 +49,18 @@ def test_dp_matches_oracle(inst):
 
 @settings(max_examples=25)
 @given(instances(ks=(1, 2)))
+def test_policy_realizes_value(inst):
+    # the replayed policy reads each claim off its last message; at n = 2
+    # that message was answered at a challenge other than the first
+    q, field, schedule = inst
+    policy, value = optimal_cheater(q, field, schedule)
+    rows = list(itertools.product(field.elements(), repeat=schedule.n_rounds))
+    hits = sum(run_with_randomness(q, field, policy, row, schedule).accepted for row in rows)
+    assert Fraction(hits, len(rows)) == value
+
+
+@settings(max_examples=25)
+@given(instances(ks=(1, 2)))
 def test_row_search_matches_oracle(inst):
     q, field, schedule = inst
     tables = SearchTables(q, field, schedule)
@@ -70,7 +81,7 @@ def test_combine_keys_match_brute_force():
             assert {kind for kind, _ in tables.keys} == {op.kind for op in schedule.ops}
             for (kind, bound), keys in tables.keys.items():
                 f01 = tables.evals[bound][:, :2].tolist()
-                want = [[_combine(kind, rho, f0, f1, field) for f0, f1 in f01]
+                want = [[combine(kind, rho, f0, f1, field) for f0, f1 in f01]
                         for rho in field.elements()]
                 assert keys.tolist() == want, (text, k, kind, bound)
                 for rho, groups in enumerate(tables.groups[kind, bound]):

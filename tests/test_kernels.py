@@ -1,12 +1,22 @@
-"""Parity between the pure-Python kernels and the compiled extension."""
+"""Parity between the pure-Python kernels and the compiled extension.
 
+When the extension is not installed, the tracked ``_fastcore.c`` is compiled
+into a temporary directory and loaded from there, without entering
+``sys.modules``, so the active backend stays the pure one."""
+
+import importlib.util
 import os
 import random
+import shlex
+import shutil
 import subprocess
 import sys
+import sysconfig
+from pathlib import Path
 
 import pytest
 
+import qipsim._kernels
 from qipsim._kernels import backends
 from qipsim.gf2k import Field
 from qipsim.qbf import compile_matrix, parse_qbf
@@ -14,13 +24,33 @@ from qipsim.sumcheck import build_schedule
 
 BOTH = backends()
 HAS_FAST = "fast" in BOTH
+FAST_NAME = "qipsim._kernels._fastcore"
 
-need_fast = pytest.mark.skipif(not HAS_FAST, reason="compiled backend not built")
+
+@pytest.fixture(scope="module")
+def fast(tmp_path_factory):
+    if HAS_FAST:
+        return BOTH["fast"]
+    cc = shlex.split(sysconfig.get_config_var("CC") or "")
+    include = sysconfig.get_paths()["include"]
+    if not cc or shutil.which(cc[0]) is None:
+        pytest.skip("no C compiler to build the compiled backend")
+    if not os.path.exists(os.path.join(include, "Python.h")):
+        pytest.skip("no Python.h to build the compiled backend")
+    source = Path(qipsim._kernels.__file__).with_name("_fastcore.c")
+    out = tmp_path_factory.mktemp("fastcore") / (
+        "_fastcore" + sysconfig.get_config_var("EXT_SUFFIX"))
+    subprocess.run(cc + ["-shared", "-fPIC", "-O0", f"-I{include}", str(source),
+                         "-o", str(out)], check=True)
+    spec = importlib.util.spec_from_file_location(FAST_NAME, out)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules.pop(FAST_NAME, None)  # the generated init registers itself
+    return module
 
 
-@need_fast
-def test_mul_parity():
-    pure, fast = BOTH["pure"], BOTH["fast"]
+def test_mul_parity(fast):
+    pure = BOTH["pure"]
     rng = random.Random(1)
     for k in (2, 3, 8, 16, 32, 64):
         g = pure.find_modulus(k)
@@ -30,11 +60,10 @@ def test_mul_parity():
             assert pure.gf_mul(a, b, g, k) == fast.gf_mul(a, b, g, k)
 
 
-@need_fast
-def test_inv_parity():
+def test_inv_parity(fast):
     # pure uses the extended Euclidean algorithm, fast exponentiates;
     # both must land on the same inverse
-    pure, fast = BOTH["pure"], BOTH["fast"]
+    pure = BOTH["pure"]
     rng = random.Random(2)
     for k in (2, 4, 8, 16, 32, 64):
         g = pure.find_modulus(k)
@@ -45,9 +74,8 @@ def test_inv_parity():
             assert pure.gf_mul(a, ia, g, k) == 1
 
 
-@need_fast
-def test_poly_parity():
-    pure, fast = BOTH["pure"], BOTH["fast"]
+def test_poly_parity(fast):
+    pure = BOTH["pure"]
     rng = random.Random(3)
     for k in (2, 8, 16):
         g = pure.find_modulus(k)
@@ -63,9 +91,8 @@ def test_poly_parity():
             )
 
 
-@need_fast
-def test_formula_kernels_parity():
-    pure, fast = BOTH["pure"], BOTH["fast"]
+def test_formula_kernels_parity(fast):
+    pure = BOTH["pure"]
     q = parse_qbf("A x1 E x2 : (x1 | ~x2) & (~x1 | x2)")
     sched = build_schedule(q)
     prog = compile_matrix(q.matrix)
@@ -84,9 +111,8 @@ def test_formula_kernels_parity():
                 assert a == b
 
 
-@need_fast
-def test_sweep_parity():
-    pure, fast = BOTH["pure"], BOTH["fast"]
+def test_sweep_parity(fast):
+    pure = BOTH["pure"]
     for text in ("E x1 : x1", "A x1 : x1", "A x1 : (x1 | ~x1)"):
         q = parse_qbf(text)
         sched = build_schedule(q)
@@ -98,9 +124,7 @@ def test_sweep_parity():
             assert pure.honest_sweep(*args, g, k) == fast.honest_sweep(*args, g, k)
 
 
-@need_fast
-def test_fast_sweep_width_guard():
-    fast = BOTH["fast"]
+def test_fast_sweep_width_guard(fast):
     q = parse_qbf("E x1 : x1")
     sched = build_schedule(q)
     prog = compile_matrix(q.matrix)

@@ -321,6 +321,18 @@ def test_row_path_reach_frozen():
     assert r3.events == [Fraction(1)] * 3
 
 
+def test_row_path_exhaustive_mean_at_u_cap():
+    # 16 rows at N = 2 list all 2^16 u vectors, the cutoff; the mean is the
+    # one-row mean to the 16th power (smaller sizes are checked against the
+    # joint engine's sum over u above)
+    q = parse_qbf("A x1 : x1")
+    f = Field(3)
+    spec = full_lookahead(q, f)
+    report = QuantumProtocol(q, f, 16).run(spec)
+    assert len(report.per_u) == 1 << 16
+    assert report.mean_accept == QuantumProtocol(q, f, 1).run(spec).mean_accept ** 16
+
+
 def test_row_path_cutoffs():
     q = parse_qbf("E x1 : x1")  # N = 2
     proto = QuantumProtocol(q, Field(1), 17)

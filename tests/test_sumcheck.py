@@ -4,12 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from cheater_oracle import combine
 from strategies import formulas
 from qipsim.gf2k import Field, poly_degree, poly_trim
-from qipsim.qbf import eval_qbf, parse_qbf
+from qipsim.qbf import arith_eval, eval_qbf, parse_qbf
 from qipsim.sumcheck import (
     ProtocolSizeError,
     Transcript,
@@ -251,6 +252,73 @@ def test_check_transcript_rounds():
     assert check_transcript(q, s, f, (0, 2), ((0, 0, 1), (0, 1))) == 1
     with pytest.raises(ValueError):
         check_transcript(q, s, f, (0,), good)
+
+
+class Replay:
+    def __init__(self, f):
+        self.f = f
+
+    def next_poly(self, j, r_prefix, sent):
+        return self.f[j - 1]
+
+
+def reference_verdict(q, schedule, field, r, f):
+    """(reject_round, note, messages read, challenges used), written out
+    from the protocol's definition with the test copy of the round rule."""
+    assign = [0] * q.n
+    v = 1
+    for j, (op, bound, fj) in enumerate(zip(schedule.ops, schedule.degree_bounds, f), 1):
+        if poly_degree(fj) > bound:
+            return j, "degree bound exceeded", j, j - 1
+        f0, f1 = field.poly_eval(fj, 0), field.poly_eval(fj, 1)
+        if combine(op.kind, assign[op.var - 1], f0, f1, field) != v:
+            return j, None, j, j - 1
+        assign[op.var - 1] = r[j - 1]
+        v = field.poly_eval(fj, r[j - 1])
+    n_rounds = schedule.n_rounds
+    if v != arith_eval(q.matrix, assign, field):
+        return n_rounds, "final matrix check failed", n_rounds, n_rounds
+    return None, None, n_rounds, n_rounds
+
+
+@st.composite
+def message_vectors(draw):
+    """(q, field, schedule, r, f) at k <= 2. The messages start from an
+    accepted vector for the drawn challenges (the full-lookahead one, or the
+    honest row when none exists) and may change one round: either adding
+    c(z + z^2), which keeps f(0) and f(1) but moves the carried claim or
+    breaks a degree-1 cap, or sending a random tuple up to one degree past
+    the cap. Runs end at every round, at the final matrix check, or in
+    acceptance."""
+    q = draw(formulas())
+    field = Field(draw(st.sampled_from((1, 2))))
+    schedule = build_schedule(q)
+    elems = st.integers(0, field.order - 1)
+    r = tuple(draw(elems) for _ in schedule.ops)
+    f = list(accepting_row_messages(q, field, r, schedule) or TranscriptOracle(
+        q, field, schedule).correct_row(r))
+    j = draw(st.integers(0, schedule.n_rounds))  # 0: no change
+    if j:
+        bound = schedule.degree_bounds[j - 1]
+        if draw(st.booleans()):
+            c = draw(st.integers(1, field.order - 1))
+            a = f[j - 1] + (0,) * 3
+            f[j - 1] = (a[0], a[1] ^ c, a[2] ^ c) + a[3:]
+        else:
+            f[j - 1] = tuple(draw(st.lists(elems, min_size=1, max_size=bound + 2)))
+    return q, field, schedule, r, tuple(f)
+
+
+@settings(max_examples=150)
+@given(message_vectors())
+def test_verifier_loop_matches_reference(inst):
+    q, field, schedule, r, f = inst
+    reject_round, note, n_read, n_used = reference_verdict(q, schedule, field, r, f)
+    event(f"reject_round={reject_round} note={note}")
+    assert check_transcript(q, schedule, field, r, f) == reject_round
+    tr = run_with_randomness(q, field, Replay(f), r, schedule)
+    assert (tr.reject_round, tr.note, tr.accepted) == (reject_round, note, reject_round is None)
+    assert tr.f == f[:n_read] and tr.r == r[:n_used]
 
 
 def test_transcript_accept_on_true():
