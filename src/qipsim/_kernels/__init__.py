@@ -5,7 +5,8 @@ pure-Python twin is the fallback. Set ``QIPSIM_KERNELS=pure`` or ``fast`` to
 force a choice (``fast`` raises if the extension was not built). Both backends
 expose the same hot-kernel functions and are parity-tested against each other;
 field construction helpers always come from the pure module, and so does the
-verifier's round rule ``combine``, run on the active backend's multiply.
+verifier's round rule ``combine``, run on the multiply of whatever backend is
+``active`` when it is called.
 """
 
 from __future__ import annotations
@@ -48,7 +49,12 @@ def _select():
 
 active = _select()
 backend_name: str = active.NAME
-combine = purepy.combine_rule(active.gf_mul)
+
+
+def combine(kind: int, rho: int, f0: int, f1: int, g: int, k: int) -> int:
+    """``purepy.combine_on`` with ``active.gf_mul``, looked up per call so a
+    backend set as ``active`` later (such as a counting proxy) sees it."""
+    return purepy.combine_on(active.gf_mul, kind, rho, f0, f1, g, k)
 
 
 def backends() -> dict[str, object]:

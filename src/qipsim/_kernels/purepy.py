@@ -13,6 +13,7 @@ twin run the same code paths on C integers.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 
 NAME = "pure"
@@ -183,23 +184,19 @@ def eval_formula(prog: Sequence[int], assign: Sequence[int], g: int, k: int) -> 
     return stack[-1]
 
 
-def combine_rule(gf_mul):
+def combine_on(gf_mul, kind: int, rho: int, f0: int, f1: int, g: int, k: int) -> int:
     """The verifier's round rule on the given field multiply: the value f(0)
     and f(1) must combine to when the round variable held rho. forall f0*f1,
     exists f0+f1+f0*f1, reduce (1+rho)*f0 + rho*f1 (characteristic 2, so
     1+rho == rho^1)."""
-
-    def combine(kind: int, rho: int, f0: int, f1: int, g: int, k: int) -> int:
-        if kind == K_FORALL:
-            return gf_mul(f0, f1, g, k)
-        if kind == K_EXISTS:
-            return f0 ^ f1 ^ gf_mul(f0, f1, g, k)
-        return gf_mul(rho ^ 1, f0, g, k) ^ gf_mul(rho, f1, g, k)
-
-    return combine
+    if kind == K_FORALL:
+        return gf_mul(f0, f1, g, k)
+    if kind == K_EXISTS:
+        return f0 ^ f1 ^ gf_mul(f0, f1, g, k)
+    return gf_mul(rho ^ 1, f0, g, k) ^ gf_mul(rho, f1, g, k)
 
 
-combine = combine_rule(gf_mul)
+combine = functools.partial(combine_on, gf_mul)
 
 
 def quantified_value(

@@ -37,7 +37,6 @@ from .quantum import (
     BiasedSupportProver,
     HonestProver,
     QuantumProtocol,
-    SparseShapeError,
     dense_oracle,
     full_lookahead,
 )
@@ -313,14 +312,12 @@ def _rows_quantum(result: dict) -> tuple[list[str], list[list]]:
     return header, rows
 
 
+_CSV_ROWS = {"classical run": _rows_classical, "quantum run": _rows_quantum}
+
+
 def _emit(doc: dict, args, command: str) -> None:
     if args.format == "csv":
-        if command == "classical run":
-            header, rows = _rows_classical(doc["result"])
-        elif command == "quantum run":
-            header, rows = _rows_quantum(doc["result"])
-        else:
-            raise CliError(f"csv output is not supported for '{command}'")
+        header, rows = _CSV_ROWS[command](doc["result"])
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(header)
@@ -421,6 +418,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
+        if args.format == "csv" and args.label not in _CSV_ROWS:
+            raise CliError(f"csv output is not supported for '{args.label}'")
         result = args.func(args)
         doc = {
             "version": __version__,
@@ -429,8 +428,8 @@ def main(argv=None) -> int:
             "result": result,
         }
         _emit(doc, args, args.label)
-    except (CliError, QbfSyntaxError, ProtocolSizeError, SparseShapeError,
-            ValueError, OSError) as exc:
+    except (CliError, QbfSyntaxError, ProtocolSizeError, ValueError,
+            OSError) as exc:
         print(f"qipsim: error: {exc}", file=sys.stderr)
         return 2
     finally:

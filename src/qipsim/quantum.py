@@ -21,9 +21,17 @@ probability.
 Sparse states map basis states to exact amplitudes: a branch's amplitude is
 coeff / sqrt(scale) with coeff a Fraction and scale a positive int shared by
 the whole state, so uniform superpositions over non-square branch counts
-stay exact and every reported probability is a Fraction. A dense
-state-vector oracle (complex floats, explicit Hadamard and permutation
-gates) cross-checks the closed-form acceptance rule at small sizes.
+stay exact and every reported probability is a Fraction.
+
+The sparse engine does not simulate round 2. Every prover here sends a fixed
+message function of R and keeps S = R, so its uncompute clears the returned
+message columns and the verifier's R-into-S clears S: each filtered branch
+becomes (R, its kept message columns, zeros), a bijection that keeps the
+amplitudes and the registers step 4 groups by. Step 4 and the events are
+therefore read directly off the step-1-filtered state, which stores only R
+and F. A dense state-vector oracle (complex floats, explicit Hadamard gates
+and the explicit round-2 permutation) cross-checks this closed form at
+small sizes.
 
 A row prover answers each row from that row's challenges alone, so the
 state is a product over rows and every result factors by row;
@@ -35,7 +43,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections.abc import Callable, Hashable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -51,6 +59,7 @@ from .sumcheck import (
     TranscriptOracle,
     accepting_row_messages,
     build_schedule,
+    correct_polynomial,
 )
 
 MAX_BRANCHES = 1 << 16
@@ -65,11 +74,6 @@ RunResult = tuple[Fraction, PerU, Fraction, Optional[list[Fraction]]]
 
 def _mean(per_u: PerU) -> Fraction:
     return sum((a for _, a in per_u), Fraction(0)) / len(per_u)
-
-
-class SparseShapeError(RuntimeError):
-    """State outside the closed-form acceptance rule's support shape; the
-    dense oracle still handles such states."""
 
 
 @dataclass(frozen=True)
@@ -140,8 +144,6 @@ def build_layout(q: PrenexQbf, k: int, m: int) -> RegisterLayout:
 class BasisState(NamedTuple):
     r: RMatrix
     f: FMatrix
-    s: RMatrix
-    anc: Hashable = None
 
 
 @dataclass
@@ -360,9 +362,12 @@ class QuantumProtocol:
         return itertools.product(rows, repeat=self.copies)
 
     def prepare_round1(self, spec: ProverSpec) -> SparseState:
-        """The prover's round-1 state: branches |R> |F(R)> |S=R>."""
+        """The prover's round-1 state: branches |R> |F(R)>, with the private
+        copy S = R implied rather than stored."""
         if isinstance(spec, BiasedSupportProver):
             support = spec.support
+            for R in support:
+                self._check_r_matrix(R)
             if len(set(support)) != len(support):
                 raise ValueError("support contains duplicate challenge matrices")
             if spec.weights is None:
@@ -388,8 +393,7 @@ class QuantumProtocol:
             scale = count
         branches: dict[BasisState, Fraction] = {}
         for R, coeff in pairs:
-            self._check_r_matrix(R)
-            branches[BasisState(R, self.padded_f_matrix(spec, R), R)] = coeff
+            branches[BasisState(R, self.padded_f_matrix(spec, R))] = coeff
         return SparseState(branches, scale)
 
     # -- step 1 ------------------------------------------------------------
@@ -405,66 +409,24 @@ class QuantumProtocol:
         passed = SparseState(kept, state.scale)
         return passed.norm_sq(), passed
 
-    # -- round 2 -----------------------------------------------------------
-
-    def apply_round2_and_cancel(
-        self, state: SparseState, u: Sequence[int], spec: ProverSpec
-    ) -> SparseState:
-        """Prover uncomputes the returned message columns from its private S
-        copy; verifier then adds R into S. Both are basis-state bijections,
-        so this permutes branches without touching amplitudes."""
-        u = self.layout.check_u(u)
-        out: dict[BasisState, Fraction] = {}
-        for b, coeff in state.branches.items():
-            fm = self.padded_f_matrix(spec, b.s)
-            new_f = tuple(
-                tuple(
-                    tuple(a ^ c for a, c in zip(b.f[i][j], fm[i][j]))
-                    if j + 1 > u[i]
-                    else b.f[i][j]
-                    for j in range(self.layout.n_rounds)
-                )
-                for i in range(self.copies)
-            )
-            new_s = tuple(
-                tuple(sv ^ rv for sv, rv in zip(b.s[i], b.r[i]))
-                for i in range(self.copies)
-            )
-            out[BasisState(b.r, new_f, new_s, b.anc)] = coeff
-        if len(out) != len(state.branches):
-            raise AssertionError("round-2 map must permute basis states")
-        return SparseState(out, state.scale)
-
     # -- step 4 ------------------------------------------------------------
 
     def kept_key(self, b: BasisState, u: Sequence[int]) -> tuple:
         """Everything the final Hadamard test does not transform: the kept
-        challenge columns, kept message columns, and the ancilla."""
-        return (
-            b.anc,
-            tuple((b.r[i][: u[i] - 1], b.f[i][: u[i]]) for i in range(self.copies)),
-        )
+        challenge columns and kept message columns."""
+        return tuple((b.r[i][: u[i] - 1], b.f[i][: u[i]]) for i in range(self.copies))
 
     def step4_accept_prob(self, state: SparseState, u: Sequence[int]) -> Fraction:
         """Probability that every Hadamard-transformed challenge register
         reads zero: group branches by the untransformed registers and sum
-        squared group amplitudes, scaled by 2^(-l k). Requires all S
-        registers and all returned message columns to be zero in every
-        branch, which holds for the implemented prover families."""
+        squared group amplitudes, scaled by 2^(-l k). Takes the step-1
+        filtered state: round 2 would only zero the returned message columns
+        and S in every branch (see the module docstring), which changes
+        neither the groups nor their amplitudes. ``dense_oracle`` simulates
+        that round explicitly."""
         u = self.layout.check_u(u)
-        n_rounds = self.layout.n_rounds
-        zero_poly = (0,) * (self.layout.degree_bound + 1)
         groups: dict[tuple, Fraction] = {}
         for b, coeff in state.branches.items():
-            for i in range(self.copies):
-                if any(x != 0 for x in b.s[i]):
-                    raise SparseShapeError(
-                        "S registers must be zero after round 2; use dense_oracle"
-                    )
-                if any(b.f[i][j] != zero_poly for j in range(u[i], n_rounds)):
-                    raise SparseShapeError(
-                        "returned message columns must be zero; use dense_oracle"
-                    )
             key = self.kept_key(b, u)
             groups[key] = groups.get(key, Fraction(0)) + coeff
         l = self.layout.hadamard_count(u)
@@ -508,17 +470,17 @@ class QuantumProtocol:
 
     def resume_union_probability(self, state: SparseState, i: int) -> Fraction:
         """Conditional probability that row i resumes at some column, i.e.
-        the union of resume(i, j) over j = 1..N."""
+        the union of resume(i, j) over j = 1..N. Those events are disjoint
+        and together say that row i's first message is wrong, and the honest
+        first message depends on no challenge."""
         norm = state.norm_sq()
         if norm == 0:
             raise ValueError("event probability undefined on an empty state")
-        n_rounds = self.layout.n_rounds
+        if not 1 <= i <= self.copies:
+            raise ValueError("event indices out of range")
+        first = self._pad_poly(correct_polynomial(self.q, self.schedule, self.field, 1, ()))
         hit = sum(
-            (
-                c * c
-                for b, c in state.branches.items()
-                if any(self._row_resumes(b, i, j) for j in range(1, n_rounds + 1))
-            ),
+            (c * c for b, c in state.branches.items() if b.f[i - 1][0] != first),
             Fraction(0),
         )
         return (hit / state.scale) / norm
@@ -563,37 +525,29 @@ class QuantumProtocol:
             ]
         raise ValueError("u_mode must be 'exhaustive' or 'sample'")
 
-    def _run_joint(
-        self, spec: ProverSpec, u_mode: str, samples: int, seed: int,
-        include_events: bool,
-    ) -> RunResult:
-        """Step-1 pass, per-u acceptance and per-row events, simulated on
-        the whole sparse state."""
+    def _run_joint(self, spec: ProverSpec, u_mode: str, samples: int,
+                   seed: int) -> RunResult:
+        """Step-1 pass, per-u acceptance and per-row events, computed on
+        the whole step-1-filtered sparse state."""
         state = self.prepare_round1(spec)
         step1_pass, filtered = self.step1_filter(state)
-        us = self._draw_us(u_mode, samples, seed)
-        per_u: PerU = []
-        for u in us:
-            if step1_pass == 0:
-                per_u.append((u, Fraction(0)))
-                continue
-            after = self.apply_round2_and_cancel(filtered, u, spec)
-            per_u.append((u, self.step4_accept_prob(after, u)))
+        per_u: PerU = [
+            (u, self.step4_accept_prob(filtered, u))
+            for u in self._draw_us(u_mode, samples, seed)
+        ]
         events = None
-        if include_events and step1_pass > 0:
+        if step1_pass > 0:
             events = [
                 self.resume_union_probability(filtered, i)
                 for i in range(1, self.copies + 1)
             ]
         return step1_pass, per_u, _mean(per_u), events
 
-    def _run_by_row(
-        self, spec: RowProver, u_mode: str, samples: int, seed: int,
-        include_events: bool,
-    ) -> RunResult:
+    def _run_by_row(self, spec: RowProver, u_mode: str, samples: int,
+                    seed: int) -> RunResult:
         """The same results as ``_run_joint`` for a row prover, from one
-        simulated row. The round-1 state is a product over rows, and step 1,
-        round 2 and the step-4 groups all act row by row, so the step-1
+        simulated row. The round-1 state is a product over rows, and step 1
+        and the step-4 groups both act row by row, so the step-1
         pass is p^m, accept(u) is the product of the one-row joint
         probabilities a(u_i), and each row's conditional events are the
         one-row ones. Over every u the mean is the one-row mean to the m-th
@@ -606,7 +560,7 @@ class QuantumProtocol:
             )
         one = QuantumProtocol(self.q, self.field, 1, self.max_branches)
         p, row_per_u, row_mean, row_events = one._run_joint(
-            spec, "exhaustive", 0, 0, include_events)
+            spec, "exhaustive", 0, 0)
         # Integer products, one reduction per u: Fraction products reduce
         # at every factor.
         nums = [acc.numerator for _, acc in row_per_u]
@@ -626,7 +580,6 @@ class QuantumProtocol:
         u_mode: str = "exhaustive",
         samples: int = 0,
         seed: int = 0,
-        include_events: bool = True,
     ) -> QuantumRunReport:
         """Exact run over every u in {1..N}^m or over sampled ones. A row
         prover (``RowProver``, ``HonestProver``, ``full_lookahead``) with
@@ -637,10 +590,10 @@ class QuantumProtocol:
 
         if isinstance(spec, RowProver) and self.copies > 1:
             step1_pass, per_u, mean, events = self._run_by_row(
-                spec, u_mode, samples, seed, include_events)
+                spec, u_mode, samples, seed)
         else:
             step1_pass, per_u, mean, events = self._run_joint(
-                spec, u_mode, samples, seed, include_events)
+                spec, u_mode, samples, seed)
         sb = soundness_bound(BoundParams(
             d=self.schedule.degree_bound,
             n_rounds=self.layout.n_rounds,
@@ -754,16 +707,15 @@ def dense_oracle(
     m: int,
     spec: ProverSpec,
     u: Sequence[int],
-    max_qubits: int = MAX_DENSE_QUBITS,
 ) -> float:
     """Joint probability that step 1 passes and step 4 accepts for one u,
     computed on the full state vector. Cross-check for the sparse path."""
     proto = QuantumProtocol(q, Field(k), m)
     lay = proto.layout
     u = lay.check_u(u)
-    if lay.total_qubits > max_qubits:
+    if lay.total_qubits > MAX_DENSE_QUBITS:
         raise ProtocolSizeError(
-            f"{lay.total_qubits} qubits exceed the dense limit {max_qubits}"
+            f"{lay.total_qubits} qubits exceed the dense limit {MAX_DENSE_QUBITS}"
         )
     codec = _DenseCodec(lay)
     sv = np.zeros(1 << lay.total_qubits, dtype=np.complex128)

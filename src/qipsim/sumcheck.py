@@ -379,11 +379,10 @@ class SearchTables:
     the search cutoff.
     """
 
-    def __init__(self, q: PrenexQbf, field: Field, schedule: RoundSchedule,
-                 max_work: int = MAX_SEARCH_WORK):
+    def __init__(self, q: PrenexQbf, field: Field, schedule: RoundSchedule):
         order = field.order
         dmax = max(schedule.degree_bounds)
-        if order ** (dmax + 1) * order ** (q.n + 1) > max_work:
+        if order ** (dmax + 1) * order ** (q.n + 1) > MAX_SEARCH_WORK:
             raise ProtocolSizeError("candidate search space exceeds the cutoff")
         self.prog = compile_matrix(q.matrix)
         elems = range(order)
@@ -448,7 +447,6 @@ def optimal_cheater(
     q: PrenexQbf,
     field: Field,
     schedule: RoundSchedule | None = None,
-    max_work: int = MAX_SEARCH_WORK,
 ) -> tuple[TabulatedPolicy, Fraction]:
     """Best possible acceptance probability over all prover strategies, with
     a policy achieving it; the value is an exact rational with denominator
@@ -466,7 +464,7 @@ def optimal_cheater(
     for every claim, so ``policy.choice`` covers all of those states. Counts
     are int64 when k*N <= 62 and Python ints otherwise."""
     schedule = schedule or build_schedule(q)
-    tables = SearchTables(q, field, schedule, max_work)
+    tables = SearchTables(q, field, schedule)
     order, n, n_rounds = field.order, q.n, schedule.n_rounds
     zs = np.arange(order)
     weight = order ** np.arange(n - 1, -1, -1, dtype=np.int64)  # code = a @ weight
@@ -516,7 +514,6 @@ def accepting_row_messages(
     field: Field,
     r_row: Sequence[int],
     schedule: RoundSchedule | None = None,
-    max_work: int = MAX_SEARCH_WORK,
     tables: SearchTables | None = None,
 ) -> Optional[tuple[UniPoly, ...]]:
     """A message vector the verifier accepts when the whole challenge string
@@ -531,11 +528,11 @@ def accepting_row_messages(
     ``itertools.product`` order whose combine value is the claim and whose
     child claim can still win; that is the message vector a depth-first
     search in product order finds. Pass ``tables`` built once for
-    (q, field, schedule) when scanning many rows; ``max_work`` is checked
-    when the tables are built."""
+    (q, field, schedule) when scanning many rows; the search cutoff is
+    checked when the tables are built."""
     schedule = schedule or build_schedule(q)
     if tables is None:
-        tables = SearchTables(q, field, schedule, max_work)
+        tables = SearchTables(q, field, schedule)
     if len(r_row) != schedule.n_rounds:
         raise ValueError(f"need {schedule.n_rounds} challenges")
     assign = [0] * q.n

@@ -245,6 +245,16 @@ def test_csv_formats(capsys):
     assert code == 2 and "csv output is not supported" in err
 
 
+def test_csv_refused_before_running(capsys):
+    # 2^32 challenge rows: running the sweep would hit its cutoff first
+    code, out, err = run_cli(
+        capsys, "classical", "exhaustive", "--formula", "A x1 : x1", "--k", "16",
+        "--format", "csv")
+    assert code == 2 and out == ""
+    assert "csv output is not supported for 'classical exhaustive'" in err
+    assert "cutoff" not in err
+
+
 def test_formula_file_and_output_file(tmp_path, capsys):
     src = tmp_path / "f.qbf"
     src.write_text("E x1 : x1\n", encoding="utf-8")

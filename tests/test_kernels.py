@@ -13,6 +13,7 @@ import subprocess
 import sys
 import sysconfig
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -161,3 +162,22 @@ def test_field_backend_injection():
     f = Field(4, backend=pure)
     assert f.ops is pure
     assert f.mul(3, 7) == pure.gf_mul(3, 7, f.g, 4)
+
+
+def test_combine_multiplies_through_active_backend(monkeypatch):
+    # a backend set as ``active`` after import (a counting proxy, say) sees
+    # every multiply of the verifier's round rule
+    pure = BOTH["pure"]
+    calls = []
+
+    def counting_mul(a, b, g, k):
+        calls.append((a, b))
+        return pure.gf_mul(a, b, g, k)
+
+    monkeypatch.setattr(qipsim._kernels, "active", SimpleNamespace(gf_mul=counting_mul))
+    f = Field(3)
+    for kind, muls in ((pure.K_FORALL, 1), (pure.K_EXISTS, 1), (pure.K_REDUCE, 2)):
+        calls.clear()
+        got = qipsim._kernels.combine(kind, 5, 3, 6, f.g, f.k)
+        assert got == pure.combine(kind, 5, 3, 6, f.g, f.k)
+        assert len(calls) == muls
