@@ -1,17 +1,13 @@
-"""Kernel backend selection.
+"""Field and formula kernels.
 
-The compiled backend (``_fastcore``, Cython) is preferred when present; the
-pure-Python twin is the fallback. Set ``QIPSIM_KERNELS=pure`` or ``fast`` to
-force a choice (``fast`` raises if the extension was not built). Both backends
-expose the same hot-kernel functions and are parity-tested against each other;
-field construction helpers always come from the pure module, and so does the
-verifier's round rule ``combine``, run on the multiply of whatever backend is
-``active`` when it is called.
+The kernels live in ``purepy``. ``active`` names the module the rest of the
+package calls them through: every ``Field`` takes it as its ``ops`` when it is
+built, and ``combine`` reads ``active.gf_mul`` per call. That indirection is
+the hook a tracer uses to count kernel calls, by setting a counting proxy as
+``active`` before any ``Field`` is built.
 """
 
 from __future__ import annotations
-
-import os
 
 from . import purepy
 from .purepy import (  # noqa: F401  (re-exported constants and cold helpers)
@@ -26,40 +22,11 @@ from .purepy import (  # noqa: F401  (re-exported constants and cold helpers)
     is_irreducible,
 )
 
-try:
-    from . import _fastcore
-except ImportError:  # extension not built
-    _fastcore = None
-
-
-def _select():
-    choice = os.environ.get("QIPSIM_KERNELS", "auto")
-    if choice == "pure":
-        return purepy
-    if choice == "fast":
-        if _fastcore is None:
-            raise ImportError(
-                "QIPSIM_KERNELS=fast but qipsim._kernels._fastcore is not built"
-            )
-        return _fastcore
-    if choice != "auto":
-        raise ValueError(f"QIPSIM_KERNELS must be auto, fast, or pure, not {choice!r}")
-    return _fastcore if _fastcore is not None else purepy
-
-
-active = _select()
+active = purepy
 backend_name: str = active.NAME
 
 
 def combine(kind: int, rho: int, f0: int, f1: int, g: int, k: int) -> int:
     """``purepy.combine_on`` with ``active.gf_mul``, looked up per call so a
-    backend set as ``active`` later (such as a counting proxy) sees it."""
+    module set as ``active`` later (such as a counting proxy) sees it."""
     return purepy.combine_on(active.gf_mul, kind, rho, f0, f1, g, k)
-
-
-def backends() -> dict[str, object]:
-    """Importable backends by name (for parity tests and benchmarks)."""
-    out: dict[str, object] = {"pure": purepy}
-    if _fastcore is not None:
-        out["fast"] = _fastcore
-    return out

@@ -1,14 +1,14 @@
-"""Pure-Python arithmetic kernels.
+"""Arithmetic kernels: the hot inner loops of the field and of formula
+evaluation.
 
-Reference implementation of the hot inner loops; mirrored by the compiled
-backend in ``qipsim._kernels._fastcore``. Field elements are plain ints whose
-bits hold GF(2) polynomial coefficients (bit i = coefficient of x^i). The
-modulus ``g`` always includes its leading x^k bit, so ``g.bit_length() == k+1``.
+Field elements are plain ints whose bits hold GF(2) polynomial coefficients
+(bit i = coefficient of x^i). The modulus ``g`` always includes its leading
+x^k bit, so ``g.bit_length() == k+1``.
 
 Formula programs are flat postfix opcode streams evaluated by a stack machine,
 and round operators are parallel ``kinds``/``tvars`` int arrays; see the
-constants below. Keeping everything in scalar ints is what lets the compiled
-twin run the same code paths on C integers.
+constants below. Flat int programs keep the kernels free of Python object
+graphs: no ``BoolExpr`` node or ``Field`` method is touched inside a loop.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ def _pgcd(a: int, b: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Field construction (cold path; exposed for both backend selections).
+# Field construction (cold path).
 
 
 def is_irreducible(g: int, k: int) -> bool:
@@ -85,8 +85,8 @@ def find_modulus(k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Hot kernels. All but ``combine`` have compiled twins, which inline their own
-# C copy of it; ``qipsim._kernels.combine`` runs it on the active multiply.
+# Hot kernels. ``combine`` runs the round rule on this module's multiply;
+# ``qipsim._kernels.combine`` runs it on the active one.
 
 
 def _mulmod(a: int, b: int, g: int, k: int) -> int:

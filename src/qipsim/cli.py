@@ -30,7 +30,7 @@ import mpmath
 
 from . import __version__
 from .bounds import BoundParams, choose_params, soundness_bound
-from .gf2k import MAX_K, Field
+from .gf2k import Field
 from .qbf import QbfSyntaxError, parse_qbf, to_text
 from .quantum import (
     MAX_DENSE_QUBITS,
@@ -202,17 +202,17 @@ def _make_quantum_spec(name: str, proto: QuantumProtocol):
 def cmd_quantum_run(args) -> dict:
     q = _load_formula(args)
     proto = QuantumProtocol(q, Field(args.k), args.m)
+    if args.dense_check and proto.layout.total_qubits > MAX_DENSE_QUBITS:
+        raise CliError(
+            f"dense check needs <= {MAX_DENSE_QUBITS} qubits, "
+            f"got {proto.layout.total_qubits}"
+        )
     spec = _make_quantum_spec(args.prover, proto)
     report = proto.run(
         spec, u_mode=args.u, samples=args.samples, seed=args.seed
     )
     result = report.to_dict()
     if args.dense_check:
-        if proto.layout.total_qubits > MAX_DENSE_QUBITS:
-            raise CliError(
-                f"dense check needs <= {MAX_DENSE_QUBITS} qubits, "
-                f"got {proto.layout.total_qubits}"
-            )
         worst = 0.0
         for u, accept in sorted(set(report.per_u)):
             dv = dense_oracle(q, args.k, args.m, spec, u)
@@ -267,8 +267,6 @@ def cmd_bound(args) -> dict:
 
 
 def cmd_field_table(args) -> dict:
-    if not 1 <= args.k <= MAX_K:
-        raise CliError(f"k must be in 1..{MAX_K}")
     field = Field(args.k)
     doc = {
         "k": field.k,

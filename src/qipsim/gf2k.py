@@ -40,7 +40,7 @@ class Field:
 
     __slots__ = ("k", "g", "order", "ops")
 
-    def __init__(self, k: int, modulus: int | None = None, backend=None):
+    def __init__(self, k: int, modulus: int | None = None):
         if not 1 <= k <= MAX_K:
             raise ValueError(f"k must be in 1..{MAX_K}, not {k}")
         if modulus is None:
@@ -50,7 +50,7 @@ class Field:
         self.k = k
         self.g = modulus
         self.order = 1 << k
-        self.ops = backend if backend is not None else _kernels.active
+        self.ops = _kernels.active
 
     def __repr__(self) -> str:
         return f"Field(k={self.k}, g={self.g:#x})"

@@ -511,19 +511,22 @@ class QuantumProtocol:
             itertools.product(range(1, self.layout.n_rounds + 1), repeat=self.copies)
         )
 
+    @staticmethod
+    def _check_u_mode(u_mode: str, samples: int) -> None:
+        if u_mode not in ("exhaustive", "sample"):
+            raise ValueError("u_mode must be 'exhaustive' or 'sample'")
+        if u_mode == "sample" and samples < 1:
+            raise ValueError("sample mode needs samples >= 1")
+
     def _draw_us(self, u_mode: str, samples: int, seed: int) -> list[tuple[int, ...]]:
         if u_mode == "exhaustive":
             return self.all_u()
-        if u_mode == "sample":
-            if samples < 1:
-                raise ValueError("sample mode needs samples >= 1")
-            rng = random.Random(seed)
-            return [
-                tuple(rng.randrange(1, self.layout.n_rounds + 1)
-                      for _ in range(self.copies))
-                for _ in range(samples)
-            ]
-        raise ValueError("u_mode must be 'exhaustive' or 'sample'")
+        rng = random.Random(seed)
+        return [
+            tuple(rng.randrange(1, self.layout.n_rounds + 1)
+                  for _ in range(self.copies))
+            for _ in range(samples)
+        ]
 
     def _run_joint(self, spec: ProverSpec, u_mode: str, samples: int,
                    seed: int) -> RunResult:
@@ -588,6 +591,7 @@ class QuantumProtocol:
         prover is simulated jointly on |F|^(mN) branches."""
         from .bounds import BoundParams, soundness_bound
 
+        self._check_u_mode(u_mode, samples)
         if isinstance(spec, RowProver) and self.copies > 1:
             step1_pass, per_u, mean, events = self._run_by_row(
                 spec, u_mode, samples, seed)

@@ -255,6 +255,16 @@ def test_csv_refused_before_running(capsys):
     assert "cutoff" not in err
 
 
+def test_dense_check_refused_before_running(capsys):
+    # 16^5 branches: running the sparse engine would hit its cutoff first
+    code, out, err = run_cli(
+        capsys, "quantum", "run", "--formula", "A x1 A x2 : x1 & x2",
+        "--k", "4", "--m", "1", "--dense-check")
+    assert code == 2 and out == ""
+    assert "dense check needs <= 26 qubits, got 100" in err
+    assert "cutoff" not in err
+
+
 def test_formula_file_and_output_file(tmp_path, capsys):
     src = tmp_path / "f.qbf"
     src.write_text("E x1 : x1\n", encoding="utf-8")

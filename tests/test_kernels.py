@@ -1,183 +1,157 @@
-"""Parity between the pure-Python kernels and the compiled extension.
+"""Parity between the kernels and reference arithmetic written here.
 
-When the extension is not installed, the tracked ``_fastcore.c`` is compiled
-into a temporary directory and loaded from there, without entering
-``sys.modules``, so the active backend stays the pure one."""
+The reference code shares nothing with ``qipsim._kernels.purepy`` but the
+modulus: multiplication is a carry-less product reduced by long division,
+inversion is Fermat exponentiation, evaluation is Horner, and formulas are
+evaluated by recursion on the parsed tree with ``cheater_oracle.combine``."""
 
-import importlib.util
-import os
 import random
-import shlex
-import shutil
-import subprocess
-import sys
-import sysconfig
-from pathlib import Path
 from types import SimpleNamespace
 
-import pytest
-
+from cheater_oracle import combine as ref_combine
 import qipsim._kernels
-from qipsim._kernels import backends
+from qipsim._kernels import find_modulus, purepy
 from qipsim.gf2k import Field
-from qipsim.qbf import compile_matrix, parse_qbf
+from qipsim.qbf import And, Not, Var, compile_matrix, parse_qbf
 from qipsim.sumcheck import build_schedule
 
-BOTH = backends()
-HAS_FAST = "fast" in BOTH
-FAST_NAME = "qipsim._kernels._fastcore"
+
+def ref_mul(a, b, g):
+    """Carry-less product of a and b, reduced by long division by g."""
+    p = 0
+    for i in range(b.bit_length()):
+        if b >> i & 1:
+            p ^= a << i
+    dg = g.bit_length() - 1
+    for i in range(p.bit_length() - 1, dg - 1, -1):
+        if p >> i & 1:
+            p ^= g << (i - dg)
+    return p
 
 
-@pytest.fixture(scope="module")
-def fast(tmp_path_factory):
-    if HAS_FAST:
-        return BOTH["fast"]
-    cc = shlex.split(sysconfig.get_config_var("CC") or "")
-    include = sysconfig.get_paths()["include"]
-    if not cc or shutil.which(cc[0]) is None:
-        pytest.skip("no C compiler to build the compiled backend")
-    if not os.path.exists(os.path.join(include, "Python.h")):
-        pytest.skip("no Python.h to build the compiled backend")
-    source = Path(qipsim._kernels.__file__).with_name("_fastcore.c")
-    out = tmp_path_factory.mktemp("fastcore") / (
-        "_fastcore" + sysconfig.get_config_var("EXT_SUFFIX"))
-    subprocess.run(cc + ["-shared", "-fPIC", "-O0", f"-I{include}", str(source),
-                         "-o", str(out)], check=True)
-    spec = importlib.util.spec_from_file_location(FAST_NAME, out)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    sys.modules.pop(FAST_NAME, None)  # the generated init registers itself
-    return module
+def ref_inv(a, g, k):
+    """a^(2^k - 2), by square-and-multiply on ``ref_mul``."""
+    out, base, e = 1, a, (1 << k) - 2
+    while e:
+        if e & 1:
+            out = ref_mul(out, base, g)
+        base = ref_mul(base, base, g)
+        e >>= 1
+    return out
 
 
-def test_mul_parity(fast):
-    pure = BOTH["pure"]
+def ref_horner(coeffs, z, g):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = ref_mul(acc, z, g) ^ c
+    return acc
+
+
+def ref_formula(e, assign, g):
+    if isinstance(e, Var):
+        return assign[e.index - 1]
+    if isinstance(e, Not):
+        return ref_formula(e.child, assign, g) ^ 1
+    a = ref_formula(e.left, assign, g)
+    b = ref_formula(e.right, assign, g)
+    if isinstance(e, And):
+        return ref_mul(a, b, g)
+    return a ^ b ^ ref_mul(a, b, g)
+
+
+def ref_quantified(matrix, ops, assign, g):
+    """The operator list ``ops`` applied to the arithmetized matrix."""
+    if not ops:
+        return ref_formula(matrix, assign, g)
+    op, t = ops[0], ops[0].var - 1
+    f0, f1 = (ref_quantified(matrix, ops[1:], assign[:t] + (b,) + assign[t + 1:], g)
+              for b in (0, 1))
+    field = SimpleNamespace(mul=lambda x, y: ref_mul(x, y, g))
+    return ref_combine(op.kind, assign[t], f0, f1, field)
+
+
+def _operands(rng, k, count):
+    top = (1 << k) - 1
+    edges = [0, 1, top, 1 << (k - 1)]
+    return [(a, b) for a in edges for b in edges] + [
+        (rng.getrandbits(k), rng.getrandbits(k)) for _ in range(count)]
+
+
+def test_mul_parity():
     rng = random.Random(1)
     for k in (2, 3, 8, 16, 32, 64):
-        g = pure.find_modulus(k)
-        for _ in range(500):
-            a = rng.getrandbits(k)
-            b = rng.getrandbits(k)
-            assert pure.gf_mul(a, b, g, k) == fast.gf_mul(a, b, g, k)
+        g = find_modulus(k)
+        for a, b in _operands(rng, k, 500):
+            assert purepy.gf_mul(a, b, g, k) == ref_mul(a, b, g)
 
 
-def test_inv_parity(fast):
-    # pure uses the extended Euclidean algorithm, fast exponentiates;
-    # both must land on the same inverse
-    pure = BOTH["pure"]
+def test_inv_parity():
     rng = random.Random(2)
-    for k in (2, 4, 8, 16, 32, 64):
-        g = pure.find_modulus(k)
-        for _ in range(200):
-            a = rng.getrandbits(k) or 1
-            ia = pure.gf_inv(a, g, k)
-            assert ia == fast.gf_inv(a, g, k)
-            assert pure.gf_mul(a, ia, g, k) == 1
+    for k in (2, 3, 8, 16, 32, 64):
+        g = find_modulus(k)
+        for a in {1, (1 << k) - 1} | {rng.getrandbits(k) or 1 for _ in range(60)}:
+            assert purepy.gf_inv(a, g, k) == ref_inv(a, g, k)
 
 
-def test_poly_parity(fast):
-    pure = BOTH["pure"]
+def test_poly_parity():
+    # interpolating a polynomial's values at distinct nodes gives back its
+    # coefficients, and the result evaluates back to the values at the nodes
     rng = random.Random(3)
-    for k in (2, 8, 16):
-        g = pure.find_modulus(k)
+    for k in (2, 3, 8, 16, 64):
+        g = find_modulus(k)
         for deg in (0, 1, 2, 3, 6):
             if deg + 1 > (1 << k):
                 continue  # not enough field points for these nodes
             coeffs = [rng.getrandbits(k) for _ in range(deg + 1)]
-            xs = list(range(deg + 1))
-            ys = [pure.poly_eval(coeffs, x, g, k) for x in xs]
-            assert ys == [fast.poly_eval(coeffs, x, g, k) for x in xs]
-            assert list(pure.interpolate(xs, ys, g, k)) == list(
-                fast.interpolate(xs, ys, g, k)
-            )
+            xs = rng.sample(range(1 << min(k, 16)), deg + 1)
+            ys = [ref_horner(coeffs, x, g) for x in xs]
+            assert ys == [purepy.poly_eval(coeffs, x, g, k) for x in xs]
+            got = list(purepy.interpolate(xs, ys, g, k))
+            assert got == coeffs
+            assert [ref_horner(got, x, g) for x in xs] == ys
 
 
-def test_formula_kernels_parity(fast):
-    pure = BOTH["pure"]
-    q = parse_qbf("A x1 E x2 : (x1 | ~x2) & (~x1 | x2)")
-    sched = build_schedule(q)
-    prog = compile_matrix(q.matrix)
-    kinds, tvars = sched.kind_codes(), sched.var_codes()
+def test_formula_kernels_parity():
     rng = random.Random(4)
-    for k in (2, 3):
-        g = pure.find_modulus(k)
-        for _ in range(50):
-            assign = [rng.getrandbits(k) for _ in range(q.n)]
-            assert pure.eval_formula(prog, assign, g, k) == fast.eval_formula(
-                prog, assign, g, k
-            )
-            for j in range(sched.n_rounds + 1):
-                a = pure.quantified_value(kinds, tvars, j, prog, list(assign), g, k)
-                b = fast.quantified_value(kinds, tvars, j, prog, list(assign), g, k)
-                assert a == b
-
-
-def test_sweep_parity(fast):
-    pure = BOTH["pure"]
-    for text in ("E x1 : x1", "A x1 : x1", "A x1 : (x1 | ~x1)"):
+    for text in ("A x1 E x2 : (x1 | ~x2) & (~x1 | x2)",
+                 "E x1 A x2 E x3 : (x1 & ~x2) | (x2 & x3) | ~(x1 | x3)",
+                 "A x1 : x1 & ~x1 & (x1 | x1)"):
         q = parse_qbf(text)
         sched = build_schedule(q)
         prog = compile_matrix(q.matrix)
-        args = (sched.kind_codes(), sched.var_codes(), sched.degree_bounds,
-                prog, q.n)
-        for k in (2, 3):
-            g = pure.find_modulus(k)
-            assert pure.honest_sweep(*args, g, k) == fast.honest_sweep(*args, g, k)
+        kinds, tvars = sched.kind_codes(), sched.var_codes()
+        for k in (2, 3, 16):
+            g = find_modulus(k)
+            for _ in range(20):
+                assign = tuple(rng.getrandbits(k) for _ in range(q.n))
+                assert purepy.eval_formula(prog, assign, g, k) == ref_formula(
+                    q.matrix, assign, g)
+                for j in range(sched.n_rounds + 1):
+                    scratch = list(assign)
+                    got = purepy.quantified_value(kinds, tvars, j, prog, scratch, g, k)
+                    assert scratch == list(assign)
+                    assert got == ref_quantified(q.matrix, sched.ops[j:], assign, g)
 
 
-def test_fast_sweep_width_guard(fast):
-    q = parse_qbf("E x1 : x1")
-    sched = build_schedule(q)
-    prog = compile_matrix(q.matrix)
-    with pytest.raises(ValueError):
-        fast.honest_sweep(sched.kind_codes(), sched.var_codes(),
-                          sched.degree_bounds, prog, q.n,
-                          BOTH["pure"].find_modulus(32), 32)
-
-
-def _spawn(env_value):
-    env = dict(os.environ)
-    if env_value is None:
-        env.pop("QIPSIM_KERNELS", None)
-    else:
-        env["QIPSIM_KERNELS"] = env_value
-    return subprocess.run(
-        [sys.executable, "-c", "import qipsim; print(qipsim.backend_name)"],
-        capture_output=True, text=True, env=env,
-    )
-
-
-def test_backend_env_selection():
-    out = _spawn("pure")
-    assert out.returncode == 0 and out.stdout.strip() == "pure"
-    if HAS_FAST:
-        out = _spawn("fast")
-        assert out.returncode == 0 and out.stdout.strip() == "fast"
-    out = _spawn("bogus")
-    assert out.returncode != 0
-
-
-def test_field_backend_injection():
-    pure = BOTH["pure"]
-    f = Field(4, backend=pure)
-    assert f.ops is pure
-    assert f.mul(3, 7) == pure.gf_mul(3, 7, f.g, 4)
+def test_active_is_the_pure_module():
+    assert qipsim._kernels.active is purepy
+    assert qipsim.backend_name == "pure"
+    assert Field(4).ops is purepy
 
 
 def test_combine_multiplies_through_active_backend(monkeypatch):
     # a backend set as ``active`` after import (a counting proxy, say) sees
     # every multiply of the verifier's round rule
-    pure = BOTH["pure"]
     calls = []
 
     def counting_mul(a, b, g, k):
         calls.append((a, b))
-        return pure.gf_mul(a, b, g, k)
+        return purepy.gf_mul(a, b, g, k)
 
     monkeypatch.setattr(qipsim._kernels, "active", SimpleNamespace(gf_mul=counting_mul))
     f = Field(3)
-    for kind, muls in ((pure.K_FORALL, 1), (pure.K_EXISTS, 1), (pure.K_REDUCE, 2)):
+    for kind, muls in ((purepy.K_FORALL, 1), (purepy.K_EXISTS, 1), (purepy.K_REDUCE, 2)):
         calls.clear()
         got = qipsim._kernels.combine(kind, 5, 3, 6, f.g, f.k)
-        assert got == pure.combine(kind, 5, 3, 6, f.g, f.k)
+        assert got == purepy.combine(kind, 5, 3, 6, f.g, f.k)
         assert len(calls) == muls

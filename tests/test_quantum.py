@@ -242,6 +242,19 @@ def test_run_sample_mode():
         proto.run(HonestProver(), u_mode="diagonal")
 
 
+def test_run_refuses_bad_u_options_before_round1(monkeypatch):
+    def no_round1(self, spec):
+        raise AssertionError("round 1 ran before the u options were checked")
+
+    monkeypatch.setattr(QuantumProtocol, "prepare_round1", no_round1)
+    for m in (1, 2):  # the joint engine and the row path
+        proto = QuantumProtocol(parse_qbf("E x1 : x1"), Field(2), m)
+        with pytest.raises(ValueError):
+            proto.run(HonestProver(), u_mode="diagonal")
+        with pytest.raises(ValueError):
+            proto.run(HonestProver(), u_mode="sample", samples=0)
+
+
 # Joint-engine work of one generated example, branches times u vectors; the
 # largest admitted (n=2, k=1, m=2: 1024 x 25) runs in about a second.
 JOINT_WORK = 30_000
@@ -459,3 +472,21 @@ def test_dense_matches_sparse_spot_checks():
         sparse = protot.step4_accept_prob(keptb, u)
         assert sparse == expect
         assert abs(float(sparse) - dense_oracle(qt, 2, 1, biased, u)) <= 1e-9
+
+
+def test_row_path_matches_dense():
+    # m=2 rows take the row path; at k=1 and N=2 the dense oracle simulates
+    # both rows jointly on 20 qubits
+    f = Field(1)
+    cases = [(parse_qbf(text), "lookahead")
+             for text in ("A x1 : x1", "E x1 : x1 & ~x1", "A x1 : x1 | ~x1")]
+    cases.append((parse_qbf("A x1 : x1 | ~x1"), "honest"))
+    for q, kind in cases:
+        spec = HonestProver() if kind == "honest" else full_lookahead(q, f)
+        assert isinstance(spec, RowProver)
+        proto = QuantumProtocol(q, f, 2)
+        assert proto.layout.total_qubits == DENSE_QUBITS
+        report = proto.run(spec)
+        assert len(report.per_u) == 4
+        for u, accept in report.per_u:
+            assert abs(float(accept) - dense_oracle(q, 1, 2, spec, u)) <= 1e-9
