@@ -15,7 +15,7 @@ import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import mpmath
 
@@ -28,18 +28,10 @@ class BoundParams:
     n_rounds: int  # N
     m: int         # register rows
     k: int         # bits per field element
-    n_vars: Optional[int] = None
 
     def __post_init__(self):
         if min(self.d, self.n_rounds, self.m, self.k) < 1:
             raise ValueError("bound parameters must be positive")
-        if self.n_vars is not None:
-            n = self.n_vars
-            want = n * (n + 1) // 2 + n
-            if self.n_rounds != want:
-                raise ValueError(
-                    f"n={n} variables give {want} rounds, not {self.n_rounds}"
-                )
 
     @property
     def error_term(self) -> Fraction:

@@ -31,7 +31,7 @@ import mpmath
 from . import __version__
 from .bounds import BoundParams, choose_params, soundness_bound
 from .gf2k import Field
-from .qbf import QbfSyntaxError, parse_qbf, to_text
+from .qbf import QbfSyntaxError, parse_qbf
 from .quantum import (
     MAX_DENSE_QUBITS,
     BiasedSupportProver,
@@ -41,7 +41,6 @@ from .quantum import (
     full_lookahead,
 )
 from .sumcheck import (
-    MAX_SWEEP_DRAWS,
     ProtocolSizeError,
     SearchTables,
     accepting_row_messages,
@@ -50,6 +49,7 @@ from .sumcheck import (
     honest_policy,
     optimal_cheater,
     run_protocol,
+    sweep_size,
 )
 
 TRIAL_SEED_STRIDE = 1_000_003
@@ -162,15 +162,13 @@ def cmd_classical_exhaustive(args) -> dict:
     }
     if args.prover == "honest":
         result["all_accept"] = honest_always_accepts(q, field, schedule)
-        result["draws"] = field.order ** schedule.n_rounds
+        result["draws"] = sweep_size(field, schedule)
     elif args.prover == "optimal":
         _, value = optimal_cheater(q, field, schedule)
         result["max_acceptance"] = _frac_doc(value)
         result["within_cap"] = value <= cap
     else:  # lookahead:full
-        total = field.order ** schedule.n_rounds
-        if total > MAX_SWEEP_DRAWS:
-            raise ProtocolSizeError("challenge space exceeds the exhaustive cutoff")
+        total = sweep_size(field, schedule)
         tables = SearchTables(q, field, schedule)
         winnable = 0
         for row in itertools.product(field.elements(), repeat=schedule.n_rounds):

@@ -19,9 +19,10 @@ uniformity the Hadamard test measures and is caught with positive
 probability.
 
 Sparse states map basis states to exact amplitudes: a branch's amplitude is
-coeff / sqrt(scale) with coeff a Fraction and scale a positive int shared by
-the whole state, so uniform superpositions over non-square branch counts
-stay exact and every reported probability is a Fraction.
+c / sqrt(scale) with c an int and scale a positive int shared by the whole
+state, so uniform superpositions over non-square branch counts and rational
+weights stay exact, sums over branches stay in integers, and every reported
+probability is one Fraction built at the end.
 
 The sparse engine does not simulate round 2. Every prover here sends a fixed
 message function of R and keeps S = R, so its uncompute clears the returned
@@ -50,6 +51,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .bounds import BoundParams, soundness_bound
 from .gf2k import Field, UniPoly
 from .qbf import PrenexQbf
 from .sumcheck import (
@@ -73,7 +75,7 @@ RunResult = tuple[Fraction, PerU, Fraction, Optional[list[Fraction]]]
 
 
 def _mean(per_u: PerU) -> Fraction:
-    return sum((a for _, a in per_u), Fraction(0)) / len(per_u)
+    return sum(a for _, a in per_u) / len(per_u)
 
 
 @dataclass(frozen=True)
@@ -148,13 +150,14 @@ class BasisState(NamedTuple):
 
 @dataclass
 class SparseState:
-    """Finite superposition; amplitude of a branch is coeff / sqrt(scale).
+    """Finite superposition; a branch's amplitude is its int numerator c
+    over sqrt(scale), the one denominator of the whole state.
 
     norm_sq may be below 1: the deficit is probability lost to earlier
     rejections, so downstream acceptance values are joint probabilities.
     """
 
-    branches: dict[BasisState, Fraction]
+    branches: dict[BasisState, int]
     scale: int
 
     def __post_init__(self):
@@ -166,7 +169,7 @@ class SparseState:
         return len(self.branches)
 
     def norm_sq(self) -> Fraction:
-        return sum((c * c for c in self.branches.values()), Fraction(0)) / self.scale
+        return Fraction(sum(c * c for c in self.branches.values()), self.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +323,7 @@ class QuantumRunReport:
 class QuantumProtocol:
     """Bundles formula, field, register layout, and the honest-row cache."""
 
-    def __init__(self, q: PrenexQbf, field: Field, copies: int,
-                 max_branches: int = MAX_BRANCHES):
+    def __init__(self, q: PrenexQbf, field: Field, copies: int):
         if copies < 1:
             raise ValueError("need at least one register row")
         self.q = q
@@ -332,7 +334,6 @@ class QuantumProtocol:
             copies, self.schedule.n_rounds, field.k, self.schedule.degree_bound
         )
         self.oracle = TranscriptOracle(q, field, self.schedule)
-        self.max_branches = max_branches
 
     # -- round 1 -----------------------------------------------------------
 
@@ -371,7 +372,7 @@ class QuantumProtocol:
             if len(set(support)) != len(support):
                 raise ValueError("support contains duplicate challenge matrices")
             if spec.weights is None:
-                coeffs = [Fraction(1)] * len(support)
+                coeffs = [1] * len(support)
                 scale = len(support)
             else:
                 if len(spec.weights) != len(support):
@@ -380,18 +381,21 @@ class QuantumProtocol:
                     raise ValueError("weights must be nonzero")
                 if sum(w * w for w in spec.weights) != 1:
                     raise ValueError("squared weights must sum to 1")
-                coeffs = list(spec.weights)
-                scale = 1
+                # Over the least common denominator D, weight w is w*D / D,
+                # so its numerator is an int and scale = D^2.
+                denom = math.lcm(*(w.denominator for w in spec.weights))
+                coeffs = [w.numerator * (denom // w.denominator) for w in spec.weights]
+                scale = denom * denom
             pairs = zip(support, coeffs)
         else:
             count = self.field.order ** (self.copies * self.layout.n_rounds)
-            if count > self.max_branches:
+            if count > MAX_BRANCHES:
                 raise ProtocolSizeError(
-                    f"{count} branches exceed the sparse cutoff {self.max_branches}"
+                    f"{count} branches exceed the sparse cutoff {MAX_BRANCHES}"
                 )
-            pairs = ((R, Fraction(1)) for R in self.all_r_matrices())
+            pairs = ((R, 1) for R in self.all_r_matrices())
             scale = count
-        branches: dict[BasisState, Fraction] = {}
+        branches: dict[BasisState, int] = {}
         for R, coeff in pairs:
             branches[BasisState(R, self.padded_f_matrix(spec, R))] = coeff
         return SparseState(branches, scale)
@@ -425,13 +429,13 @@ class QuantumProtocol:
         neither the groups nor their amplitudes. ``dense_oracle`` simulates
         that round explicitly."""
         u = self.layout.check_u(u)
-        groups: dict[tuple, Fraction] = {}
+        groups: dict[tuple, int] = {}
         for b, coeff in state.branches.items():
             key = self.kept_key(b, u)
-            groups[key] = groups.get(key, Fraction(0)) + coeff
+            groups[key] = groups.get(key, 0) + coeff
         l = self.layout.hadamard_count(u)
-        total = sum((gs * gs for gs in groups.values()), Fraction(0))
-        return total / (state.scale * (1 << (l * self.field.k)))
+        total = sum(gs * gs for gs in groups.values())
+        return Fraction(total, state.scale << (l * self.field.k))
 
     # -- events --------------------------------------------------------------
 
@@ -456,34 +460,33 @@ class QuantumProtocol:
         hits = (self._row_resumes(b, i + 1, ev.v[i]) for i in range(self.copies))
         return any(hits) if ev.kind == "any" else all(hits)
 
+    @staticmethod
+    def _conditional(state: SparseState, hit: Callable[[BasisState], bool]) -> Fraction:
+        """Squared amplitude of the branches where hit holds over the
+        state's norm^2; the shared scale cancels."""
+        matched = total = 0
+        for b, c in state.branches.items():
+            total += c * c
+            if hit(b):
+                matched += c * c
+        if total == 0:
+            raise ValueError("event probability undefined on an empty state")
+        return Fraction(matched, total)
+
     def event_probability(self, state: SparseState, ev: EventQuery) -> Fraction:
         """Conditional probability of the event given the state's support
         (squared amplitude of matching branches over the state's norm^2)."""
-        norm = state.norm_sq()
-        if norm == 0:
-            raise ValueError("event probability undefined on an empty state")
-        hit = sum(
-            (c * c for b, c in state.branches.items() if self._event_matches(b, ev)),
-            Fraction(0),
-        )
-        return (hit / state.scale) / norm
+        return self._conditional(state, lambda b: self._event_matches(b, ev))
 
     def resume_union_probability(self, state: SparseState, i: int) -> Fraction:
         """Conditional probability that row i resumes at some column, i.e.
         the union of resume(i, j) over j = 1..N. Those events are disjoint
         and together say that row i's first message is wrong, and the honest
         first message depends on no challenge."""
-        norm = state.norm_sq()
-        if norm == 0:
-            raise ValueError("event probability undefined on an empty state")
         if not 1 <= i <= self.copies:
             raise ValueError("event indices out of range")
         first = self._pad_poly(correct_polynomial(self.q, self.schedule, self.field, 1, ()))
-        hit = sum(
-            (c * c for b, c in state.branches.items() if b.f[i - 1][0] != first),
-            Fraction(0),
-        )
-        return (hit / state.scale) / norm
+        return self._conditional(state, lambda b: b.f[i - 1][0] != first)
 
     def hidden_support_count(
         self, state: SparseState, u: Sequence[int], ev: EventQuery | None = None
@@ -556,12 +559,12 @@ class QuantumProtocol:
         one-row ones. Over every u the mean is the one-row mean to the m-th
         power, so exhaustive mode never sums the N^m products."""
         n_rounds = self.layout.n_rounds
-        if u_mode == "exhaustive" and n_rounds ** self.copies > self.max_branches:
+        if u_mode == "exhaustive" and n_rounds ** self.copies > MAX_BRANCHES:
             raise ProtocolSizeError(
                 f"{n_rounds ** self.copies} u vectors exceed the sparse cutoff "
-                f"{self.max_branches}"
+                f"{MAX_BRANCHES}"
             )
-        one = QuantumProtocol(self.q, self.field, 1, self.max_branches)
+        one = QuantumProtocol(self.q, self.field, 1)
         p, row_per_u, row_mean, row_events = one._run_joint(
             spec, "exhaustive", 0, 0)
         # Integer products, one reduction per u: Fraction products reduce
@@ -586,11 +589,9 @@ class QuantumProtocol:
     ) -> QuantumRunReport:
         """Exact run over every u in {1..N}^m or over sampled ones. A row
         prover (``RowProver``, ``HonestProver``, ``full_lookahead``) with
-        m > 1 is simulated on one row of |F|^N branches, so ``max_branches``
+        m > 1 is simulated on one row of |F|^N branches, so ``MAX_BRANCHES``
         bounds |F|^N and, in exhaustive mode, the N^m u vectors; any other
         prover is simulated jointly on |F|^(mN) branches."""
-        from .bounds import BoundParams, soundness_bound
-
         self._check_u_mode(u_mode, samples)
         if isinstance(spec, RowProver) and self.copies > 1:
             step1_pass, per_u, mean, events = self._run_by_row(
@@ -756,20 +757,9 @@ def dense_oracle(
         sv = _permute_support(sv, write_messages)
 
     # Step 1: project onto branches whose rows are all valid transcripts.
-    row_ok: dict[tuple, bool] = {}
     for idx in np.nonzero(sv)[0]:
         R, F, _ = codec.decode(int(idx))
-        ok = True
-        for i in range(lay.copies):
-            key = (R[i], F[i])
-            v = row_ok.get(key)
-            if v is None:
-                v = proto.oracle.valid(R[i], F[i])
-                row_ok[key] = v
-            if not v:
-                ok = False
-                break
-        if not ok:
+        if not all(proto.oracle.valid(R[i], F[i]) for i in range(lay.copies)):
             sv[idx] = 0.0
 
     # Rounds 2-3: prover uncomputes the returned message columns from S,

@@ -99,7 +99,6 @@ def partial_value(
     field: Field,
     j: int,
     assignment: Sequence[int],
-    max_leaves: int = MAX_PARTIAL_LEAVES,
 ) -> int:
     """Value of the operator suffix after round j at the given assignment.
 
@@ -111,7 +110,7 @@ def partial_value(
         raise ValueError(f"round index {j} outside 0..{n_rounds}")
     if len(assignment) != q.n:
         raise ValueError(f"assignment must have {q.n} entries")
-    if 1 << (n_rounds - j) > max_leaves:
+    if 1 << (n_rounds - j) > MAX_PARTIAL_LEAVES:
         raise ProtocolSizeError("operator suffix too deep for exact evaluation")
     for a in assignment:
         field.check(a)
@@ -329,17 +328,24 @@ def run_protocol(
     return run_with_randomness(q, field, policy, r_seq, schedule)
 
 
+def sweep_size(field: Field, schedule: RoundSchedule) -> int:
+    """|F|^N, the number of challenge strings an exhaustive sweep covers;
+    raises ProtocolSizeError past ``MAX_SWEEP_DRAWS``."""
+    draws = field.order ** schedule.n_rounds
+    if draws > MAX_SWEEP_DRAWS:
+        raise ProtocolSizeError("challenge space exceeds the exhaustive cutoff")
+    return draws
+
+
 def honest_always_accepts(
     q: PrenexQbf,
     field: Field,
     schedule: RoundSchedule | None = None,
-    max_draws: int = MAX_SWEEP_DRAWS,
 ) -> bool:
     """Exhaustive completeness sweep over every challenge string, walking
     shared prefixes once (sum_j |F|^j nodes instead of N * |F|^N)."""
     schedule = schedule or build_schedule(q)
-    if field.order ** schedule.n_rounds > max_draws:
-        raise ProtocolSizeError("challenge space exceeds the exhaustive cutoff")
+    sweep_size(field, schedule)
     return field.ops.honest_sweep(
         schedule.kind_codes(),
         schedule.var_codes(),

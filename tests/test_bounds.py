@@ -177,7 +177,5 @@ def test_choose_params_validation():
 def test_bound_params_validation():
     with pytest.raises(ValueError):
         BoundParams(d=0, n_rounds=2, m=1, k=2)
-    with pytest.raises(ValueError):
-        BoundParams(d=2, n_rounds=4, m=1, k=2, n_vars=2)
-    p = BoundParams(d=2, n_rounds=5, m=1, k=2, n_vars=2)
+    p = BoundParams(d=2, n_rounds=5, m=1, k=2)
     assert p.error_term == Fraction(2, 4)

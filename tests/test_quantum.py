@@ -8,6 +8,7 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from strategies import formulas
+from qipsim import quantum
 from qipsim.gf2k import Field
 from qipsim.qbf import parse_qbf
 from qipsim.quantum import (
@@ -100,7 +101,7 @@ def test_prepare_biased():
     assert single.norm_sq() == 1
     weighted = proto.prepare_round1(BiasedSupportProver(
         [((0, 0),), ((0, 1),)], weights=[Fraction(3, 5), Fraction(4, 5)]))
-    assert weighted.norm_sq() == 1 and weighted.scale == 1
+    assert weighted.norm_sq() == 1 and weighted.scale == 25
 
 
 def test_prepare_biased_validation():
@@ -125,7 +126,7 @@ def test_prepare_biased_validation():
 
 def test_prepare_size_cutoff():
     q = parse_qbf("E x1 : x1")
-    proto = QuantumProtocol(q, Field(4), 2, max_branches=100)
+    proto = QuantumProtocol(q, Field(4), 3)  # 16^6 branches
     with pytest.raises(ProtocolSizeError):
         proto.prepare_round1(HonestProver())
 
@@ -268,7 +269,7 @@ def test_row_path_matches_joint_engine(q, k, m, kind, seed):
     proto = QuantumProtocol(q, f, m)
     n_rounds = proto.layout.n_rounds
     branches = f.order ** (m * n_rounds)
-    assume(branches <= proto.max_branches and branches * n_rounds ** m <= JOINT_WORK)
+    assume(branches <= quantum.MAX_BRANCHES and branches * n_rounds ** m <= JOINT_WORK)
     event(f"n={q.n} k={k} m={m}")
     spec = HonestProver() if kind == "honest" else full_lookahead(q, f)
     assert isinstance(spec, RowProver)
@@ -316,9 +317,9 @@ def test_row_path_cutoffs():
         proto.run(HonestProver())  # 2^17 u vectors
     sampled = proto.run(HonestProver(), u_mode="sample", samples=3, seed=1)
     assert sampled.mean_accept == 1 and len(sampled.per_u) == 3
-    small = QuantumProtocol(q, Field(4), 2, max_branches=255)
+    wide = QuantumProtocol(q, Field(9), 2)
     with pytest.raises(ProtocolSizeError):
-        small.run(HonestProver(), u_mode="sample", samples=1)  # 256 branches per row
+        wide.run(HonestProver(), u_mode="sample", samples=1)  # 2^18 branches per row
 
 
 def test_report_document_shape():
@@ -472,6 +473,22 @@ def test_dense_matches_sparse_spot_checks():
         sparse = protot.step4_accept_prob(keptb, u)
         assert sparse == expect
         assert abs(float(sparse) - dense_oracle(qt, 2, 1, biased, u)) <= 1e-9
+
+
+def test_weighted_amplitudes_over_common_denominator():
+    # denominators 3, 3, 5 and 15 and one negative weight: the integer
+    # numerators need the least common denominator and keep their signs
+    q = parse_qbf("E x1 : x1")
+    spec = BiasedSupportProver(
+        [((0, 0),), ((0, 1),), ((1, 2),), ((3, 3),)],
+        weights=[Fraction(1, 3), Fraction(-2, 3), Fraction(2, 5), Fraction(8, 15)])
+    report = QuantumProtocol(q, Field(2), 1).run(spec)
+    assert report.step1_pass == 1
+    assert report.per_u == [((1,), Fraction(9, 400)), ((2,), Fraction(5, 36))]
+    assert report.mean_accept == Fraction(581, 7200)
+    assert report.events == [0]
+    for u, accept in report.per_u:
+        assert abs(float(accept) - dense_oracle(q, 2, 1, spec, u)) <= 1e-9
 
 
 def test_row_path_matches_dense():

@@ -107,8 +107,10 @@ def test_partial_value_validation():
         partial_value(q, s, f, 3, [0])
     with pytest.raises(ValueError):
         partial_value(q, s, f, 0, [])
+    # n=6 gives N=27 rounds: 2^27 leaves at j=0, past MAX_PARTIAL_LEAVES
+    q6 = parse_qbf("A x1 A x2 A x3 A x4 A x5 A x6 : x1")
     with pytest.raises(ProtocolSizeError):
-        partial_value(q, s, f, 0, [0], max_leaves=1)
+        partial_value(q6, build_schedule(q6), f, 0, [0] * 6)
 
 
 def test_correct_polynomial_linear_example():
@@ -196,7 +198,7 @@ def test_honest_sweep_matches_eval_qbf(q, k):
 def test_honest_sweep_cutoff():
     q = parse_qbf("E x1 : x1")
     with pytest.raises(ProtocolSizeError):
-        honest_always_accepts(q, Field(16), max_draws=100)
+        honest_always_accepts(q, Field(16))  # 2^32 challenge strings
 
 
 def test_run_protocol_honest():
