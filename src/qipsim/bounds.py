@@ -14,12 +14,12 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from typing import NamedTuple
 
-import mpmath
-
 PRECISION_BITS = 200
+MIXTURE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ class MixtureBoundCheck(NamedTuple):
     holds: bool
 
 
-def check_mixture_bound(f, g, lam, tol: float = 1e-12) -> MixtureBoundCheck:
+def check_mixture_bound(f, g, lam) -> MixtureBoundCheck:
     """Test uniform_fidelity(lam*f + (1-lam)*g) <= 1 - lam*r + 2*sqrt(1-r),
     where r is the fraction of points where f vanishes. Requires both
     weightings to sum to at most 1 and share the same index set."""
@@ -71,12 +71,12 @@ def check_mixture_bound(f, g, lam, tol: float = 1e-12) -> MixtureBoundCheck:
         raise ValueError("weightings must share one index set")
     if not 0 <= lam <= 1:
         raise ValueError("mixing coefficient must lie in [0, 1]")
-    if sum(fv) > 1 + tol or sum(gv) > 1 + tol:
+    if sum(fv) > 1 + MIXTURE_TOL or sum(gv) > 1 + MIXTURE_TOL:
         raise ValueError("weightings must have total mass at most 1")
     r = sum(1 for v in fv if v == 0) / len(fv)
     lhs = uniform_fidelity([lam * a + (1 - lam) * b for a, b in zip(fv, gv)])
     rhs = 1 - lam * r + 2 * math.sqrt(1 - r)
-    return MixtureBoundCheck(lhs, rhs, r, lhs <= rhs + tol)
+    return MixtureBoundCheck(lhs, rhs, r, lhs <= rhs + MIXTURE_TOL)
 
 
 class CoordinateHit(NamedTuple):
@@ -97,21 +97,23 @@ def coordinate_hit_probability(n_rounds: int, m: int) -> CoordinateHit:
 
 @dataclass(frozen=True)
 class SoundnessBound:
-    value: mpmath.mpf
-    vacuous: bool        # bound >= 1 says nothing
-    hit_term: mpmath.mpf      # 1 - e^(-m/N)
+    value: Decimal
+    vacuous: bool             # bound >= 1 says nothing
+    hit_term: Decimal         # 1 - e^(-m/N)
     error_term: Fraction      # d*m / 2^k
 
 
 def soundness_bound(p: BoundParams) -> SoundnessBound:
-    """Acceptance cap for any prover on a false formula:
-    1 - (1 - e^(-m/N))(1 - dm/2^k) + 2*sqrt(dm/2^k), evaluated at
-    PRECISION_BITS of floating precision."""
-    with mpmath.workprec(max(PRECISION_BITS, mpmath.mp.prec)):
-        eps = mpmath.mpf(p.error_term.numerator) / p.error_term.denominator
-        hit = 1 - mpmath.exp(mpmath.mpf(-p.m) / p.n_rounds)
-        value = 1 - hit * (1 - eps) + 2 * mpmath.sqrt(eps)
-        return SoundnessBound(value, value >= 1, hit, p.error_term)
+    """Acceptance cap 1 - (1 - e^(-m/N))(1 - eps) + 2*sqrt(eps), eps = dm/2^k,
+    for any prover on a false formula, summed as positive terms so nothing
+    cancels; each step is correctly rounded in one local PRECISION_BITS context."""
+    ctx = Context(prec=math.ceil(PRECISION_BITS * math.log10(2)),
+                  Emin=MIN_EMIN, Emax=MAX_EMAX)
+    eps = ctx.divide(p.error_term.numerator, p.error_term.denominator)
+    tail = ctx.exp(ctx.divide(-p.m, p.n_rounds))
+    hit = ctx.subtract(1, tail)
+    value = ctx.add(tail, ctx.fma(hit, eps, ctx.multiply(2, ctx.sqrt(eps))))
+    return SoundnessBound(value, value >= 1, hit, p.error_term)
 
 
 def choose_params(x_len: int, d: int, n_rounds: int) -> BoundParams:

@@ -26,8 +26,6 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-import mpmath
-
 from . import __version__
 from .bounds import BoundParams, choose_params, soundness_bound
 from .gf2k import Field
@@ -254,7 +252,7 @@ def cmd_bound(args) -> dict:
         "satisfied": None,
     }
     if args.xlen is not None:
-        target = mpmath.mpf(2) ** (-args.xlen)
+        target = Fraction(2) ** -args.xlen
         doc["target"] = float(target)
         doc["satisfied"] = bool(sb.value < target)
     return doc
@@ -425,8 +423,9 @@ def main(argv=None) -> int:
         }
         _emit(doc, args, args.label)
     except (CliError, QbfSyntaxError, ProtocolSizeError, ValueError,
-            OSError) as exc:
-        print(f"qipsim: error: {exc}", file=sys.stderr)
+            OSError, RecursionError) as exc:
+        msg = "formula nested too deeply" if isinstance(exc, RecursionError) else exc
+        print(f"qipsim: error: {msg}", file=sys.stderr)
         return 2
     finally:
         if getattr(args, "timing", False):

@@ -439,26 +439,24 @@ class QuantumProtocol:
 
     # -- events --------------------------------------------------------------
 
-    def _row_resumes(self, b: BasisState, i: int, j: int) -> bool:
-        if not (1 <= i <= self.copies and 1 <= j <= self.layout.n_rounds):
+    def _event_test(self, ev: EventQuery) -> Callable[[BasisState], bool]:
+        """Check the query once, before any branch, and return its test."""
+        if ev.kind not in ("resume", "any", "all"):
+            raise ValueError(f"unknown event kind {ev.kind!r}")
+        if ev.kind != "resume" and (ev.v is None or len(ev.v) != self.copies):
+            raise ValueError("event vector must have one entry per row")
+        pairs = [(ev.i, ev.j)] if ev.kind == "resume" else list(enumerate(ev.v, 1))
+        n = self.layout.n_rounds
+        if not all(1 <= i <= self.copies and 1 <= j <= n for i, j in pairs):
             raise ValueError("event indices out of range")
+        combine = all if ev.kind == "all" else any
+        return lambda b: combine(self._row_resumes(b, i, j) for i, j in pairs)
+
+    def _row_resumes(self, b: BasisState, i: int, j: int) -> bool:
         correct = tuple(self._pad_poly(p) for p in self.oracle.correct_row(b.r[i - 1]))
         row_f = b.f[i - 1]
-        if any(row_f[jj] == correct[jj] for jj in range(j)):
-            return False
-        if j < self.layout.n_rounds and row_f[j] != correct[j]:
-            return False
-        return True
-
-    def _event_matches(self, b: BasisState, ev: EventQuery) -> bool:
-        if ev.kind == "resume":
-            return self._row_resumes(b, ev.i, ev.j)
-        if ev.kind not in ("any", "all"):
-            raise ValueError(f"unknown event kind {ev.kind!r}")
-        if ev.v is None or len(ev.v) != self.copies:
-            raise ValueError("event vector must have one entry per row")
-        hits = (self._row_resumes(b, i + 1, ev.v[i]) for i in range(self.copies))
-        return any(hits) if ev.kind == "any" else all(hits)
+        return (all(row_f[jj] != correct[jj] for jj in range(j))
+                and (j == self.layout.n_rounds or row_f[j] == correct[j]))
 
     @staticmethod
     def _conditional(state: SparseState, hit: Callable[[BasisState], bool]) -> Fraction:
@@ -476,7 +474,7 @@ class QuantumProtocol:
     def event_probability(self, state: SparseState, ev: EventQuery) -> Fraction:
         """Conditional probability of the event given the state's support
         (squared amplitude of matching branches over the state's norm^2)."""
-        return self._conditional(state, lambda b: self._event_matches(b, ev))
+        return self._conditional(state, self._event_test(ev))
 
     def resume_union_probability(self, state: SparseState, i: int) -> Fraction:
         """Conditional probability that row i resumes at some column, i.e.
@@ -497,9 +495,10 @@ class QuantumProtocol:
         constrained once the kept ones are fixed, so the per-group maximum
         is the quantity the counting bound controls."""
         u = self.layout.check_u(u)
+        hit = self._event_test(ev) if ev is not None else None
         groups: dict[tuple, set] = {}
         for b in state.branches:
-            if ev is not None and not self._event_matches(b, ev):
+            if hit is not None and not hit(b):
                 continue
             key = self.kept_key(b, u)
             groups.setdefault(key, set()).add(

@@ -1,3 +1,4 @@
+import decimal
 import math
 import random
 from fractions import Fraction
@@ -156,15 +157,55 @@ def test_soundness_bound_tiny_tail():
     out = soundness_bound(p)
     assert not out.vacuous
     # hit term is 1 - e^(-1e6): only the 2*sqrt(eps) tail remains
-    assert out.value < mpmath.mpf(2) ** -80
+    assert out.value < Fraction(1, 2 ** 80)
     assert out.value > 0
+
+
+REFERENCE_BITS = 3000
+
+
+def _reference_bound(p: BoundParams):
+    """The bound in the paper's form, 1 - hit*(1 - eps) + 2*sqrt(eps), at
+    REFERENCE_BITS; enough bits that its cancellation costs nothing while
+    m/N stays below REFERENCE_BITS*ln(2)/2."""
+    assert p.m / p.n_rounds < REFERENCE_BITS * math.log(2) / 2
+    with mpmath.workprec(REFERENCE_BITS):
+        eps = mpmath.mpf(p.error_term.numerator) / p.error_term.denominator
+        hit = 1 - mpmath.exp(mpmath.mpf(-p.m) / p.n_rounds)
+        return 1 - hit * (1 - eps) + 2 * mpmath.sqrt(eps), hit
+
+
+def test_soundness_bound_matches_high_precision_reference():
+    # m/N up to 1000 puts e^(-m/N) far below 2^-PRECISION_BITS, where
+    # summing 1 - hit*(1 - eps) at working precision would drop it
+    for d in (1, 3):
+        for n_rounds in (1, 2, 7):
+            for m in (1, 12, 138, 139, 140, 300, 1000):
+                for k in (1, 2, 10, 64, 200, 201, 500, 1000):
+                    p = BoundParams(d=d, n_rounds=n_rounds, m=m, k=k)
+                    out = soundness_bound(p)
+                    ref, ref_hit = _reference_bound(p)
+                    with mpmath.workprec(REFERENCE_BITS):
+                        rel = abs(mpmath.mpf(str(out.value)) - ref) / ref
+                        assert rel < mpmath.mpf(2) ** -190, p
+                        assert out.vacuous == (ref >= 1), p
+                    assert float(out.value) == float(ref), p
+                    assert float(out.hit_term) == float(ref_hit), p
+
+
+def test_soundness_bound_ignores_global_precision():
+    p = BoundParams(d=1, n_rounds=7, m=1000, k=1000)
+    expected = soundness_bound(p)
+    with mpmath.workprec(1000), decimal.localcontext() as ctx:
+        ctx.prec = 5
+        assert soundness_bound(p) == expected
 
 
 def test_choose_params_hits_targets_small():
     for x_len in (1, 2, 5, 8):
         for n_rounds in (2, 5):
             p = choose_params(x_len, 3, n_rounds)
-            assert soundness_bound(p).value < mpmath.mpf(2) ** -x_len
+            assert soundness_bound(p).value < Fraction(1, 2 ** x_len)
 
 
 def test_choose_params_validation():

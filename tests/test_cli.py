@@ -157,6 +157,14 @@ def test_bound_explicit_params_vacuous(capsys):
     assert res["target"] is None and res["satisfied"] is None
 
 
+def test_bound_past_hit_term_cancellation(capsys):
+    # e^(-1000/7) is far below 2^-200; the bound must keep it, not round the
+    # hit term to 1 and drop it
+    doc = run_json(capsys, "bound", "--d", "1", "--N", "7",
+                   "--m", "1000", "--k", "1000")
+    assert doc["result"]["bound"] == 9.076766360459928e-63
+
+
 def test_bound_param_errors(capsys):
     code, _, err = run_cli(capsys, "bound", "--d", "3", "--N", "2", "--m", "4")
     assert code == 2 and "qipsim: error:" in err
@@ -187,6 +195,18 @@ def test_syntax_error_path(capsys):
     assert code == 2 and out == ""
     assert err.startswith("qipsim: error:")
     assert "line 1" in err
+
+
+@pytest.mark.parametrize("body", [
+    "(" * 400 + "x1" + ")" * 400,
+    "~" * 1200 + "x1",
+    " & ".join(["x1"] * 1200),
+], ids=["parens", "negations", "and-chain"])
+def test_deeply_nested_formula_exits_2(capsys, body):
+    code, out, err = run_cli(capsys, "classical", "run",
+                             "--formula", "A x1 : " + body, "--k", "2")
+    assert code == 2 and out == ""
+    assert err == "qipsim: error: formula nested too deeply\n"
 
 
 def test_argparse_error_uses_prefix(capsys):
@@ -304,3 +324,13 @@ def test_module_entry_point():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["result"]["modulus"] == 11
+
+
+def test_import_does_not_load_mpmath():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qipsim, qipsim.cli; print('mpmath' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

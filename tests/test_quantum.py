@@ -359,8 +359,25 @@ def test_event_probabilities():
     with pytest.raises(ValueError):
         proto.event_probability(kept, EventQuery("any", v=(1, 1)))
     empty = SparseState({}, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty state"):
         proto.event_probability(empty, EventQuery.resume(1, 1))
+
+
+def test_event_queries_checked_before_branches():
+    # a malformed query is refused even when there is no branch to test it on
+    proto = QuantumProtocol(parse_qbf("A x1 : x1"), Field(2), 1)
+    empty = SparseState({}, 1)
+    bad = [(EventQuery("bogus"), "unknown event kind"),
+           (EventQuery.resume(1, 3), "out of range"),
+           (EventQuery.resume(2, 1), "out of range"),
+           (EventQuery.any_resume((1, 1)), "one entry per row"),
+           (EventQuery.all_resume((0,)), "out of range")]
+    for ev, msg in bad:
+        with pytest.raises(ValueError, match=msg):
+            proto.event_probability(empty, ev)
+        with pytest.raises(ValueError, match=msg):
+            proto.hidden_support_count(empty, (1,), ev)
+    assert proto.hidden_support_count(empty, (1,), EventQuery.resume(1, 1)) == 0
 
 
 def test_event_inclusion_two_rows():
