@@ -14,6 +14,7 @@ graphs: no ``BoolExpr`` node or ``Field`` method is touched inside a loop.
 from __future__ import annotations
 
 import functools
+import itertools
 from collections.abc import Sequence
 
 NAME = "pure"
@@ -232,36 +233,31 @@ def honest_sweep(
     g: int,
     k: int,
 ) -> bool:
-    """Exhaustive completeness check: replay the verifier over every possible
-    challenge string with honest prover messages (interpolated from the true
-    round values) and report whether every branch accepts. Shared challenge
-    prefixes are walked once, so the tree has sum_j |F|^j nodes rather than
-    N * |F|^N."""
+    """Exhaustive completeness check: does the verifier accept the honest
+    prover on every challenge string? Round j's message interpolates the
+    suffix values after round j at z < min(d_j + 1, |F|) and ignores its own
+    variable's previous value. With 0 and 1 among the nodes, round j's
+    combine check says "the previous message at its challenge equals the
+    suffix value from round j", and the final matrix check is that test
+    after round N. So: the chain is 1, and for each round, each setting of
+    the variables bound before it (others 0) and each r in F, the message
+    at r is the suffix value with the round variable at r."""
     size = 1 << k
-    nops = len(kinds)
     assign = [0] * nvars
-
-    def walk(j: int, v: int) -> bool:
-        if j == nops:
-            return v == eval_formula(prog, assign, g, k)
-        t = tvars[j]
-        old = assign[t]
+    if quantified_value(kinds, tvars, 0, prog, assign, g, k) != 1:
+        return False
+    for j, t in enumerate(tvars):
         npts = min(dbounds[j] + 1, size)
-        ys = []
-        for z in range(npts):
-            assign[t] = z
-            ys.append(quantified_value(kinds, tvars, j + 1, prog, assign, g, k))
-        assign[t] = old
-        cs = interpolate(range(npts), ys, g, k)
-        if combine(kinds[j], old, ys[0], ys[1], g, k) != v:
-            return False
-        for r in range(size):
-            assign[t] = r
-            vr = ys[r] if r < npts else poly_eval(cs, r, g, k)
-            if not walk(j + 1, vr):
-                assign[t] = old
-                return False
-        assign[t] = old
-        return True
-
-    return walk(0, 1)
+        bound = [v for v in dict.fromkeys(tvars[:j]) if v != t]
+        for point in itertools.product(range(size), repeat=len(bound)):
+            for v, x in zip(bound, point):
+                assign[v] = x
+            ys = []
+            for r in range(size):
+                assign[t] = r
+                ys.append(quantified_value(kinds, tvars, j + 1, prog, assign, g, k))
+            cs = interpolate(range(npts), ys[:npts], g, k)
+            for r in range(npts, size):
+                if poly_eval(cs, r, g, k) != ys[r]:
+                    return False
+    return True

@@ -377,7 +377,7 @@ def build_parser() -> _Parser:
     qrun.set_defaults(func=cmd_quantum_run, label="quantum run")
 
     bound = sub.add_parser("bound", help="analytic soundness bound")
-    bound.add_argument("--xlen", type=int, help="input length for the target 2^-xlen")
+    bound.add_argument("--xlen", type=_positive_int, help="input length for the target 2^-xlen")
     bound.add_argument("--d", type=int, required=True, help="degree bound")
     ngrp = bound.add_mutually_exclusive_group(required=True)
     ngrp.add_argument("--n", type=int, help="variable count (derives N)")

@@ -103,7 +103,7 @@ def _tokens(text: str):
             continue
         if ch == "x":
             j = i + 1
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in "0123456789":
                 j += 1
             if j == i + 1:
                 raise QbfSyntaxError("variable needs digits after 'x'", line, col)

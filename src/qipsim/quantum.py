@@ -78,6 +78,17 @@ def _mean(per_u: PerU) -> Fraction:
     return sum(a for _, a in per_u) / len(per_u)
 
 
+def _power_exceeds(base: int, exp: int, cap: int) -> bool:
+    """Whether base**exp > cap, for base >= 2, without building the power
+    past cap: it is multiplied up one factor at a time."""
+    power = 1
+    for _ in range(exp):
+        power *= base
+        if power > cap:
+            return True
+    return False
+
+
 @dataclass(frozen=True)
 class RegisterLayout:
     """Register geometry: counts, qubit offsets, and the column partition
@@ -388,13 +399,13 @@ class QuantumProtocol:
                 scale = denom * denom
             pairs = zip(support, coeffs)
         else:
-            count = self.field.order ** (self.copies * self.layout.n_rounds)
-            if count > MAX_BRANCHES:
+            order, width = self.field.order, self.copies * self.layout.n_rounds
+            if _power_exceeds(order, width, MAX_BRANCHES):
                 raise ProtocolSizeError(
-                    f"{count} branches exceed the sparse cutoff {MAX_BRANCHES}"
+                    f"{order}^{width} branches exceed the sparse cutoff {MAX_BRANCHES}"
                 )
             pairs = ((R, 1) for R in self.all_r_matrices())
-            scale = count
+            scale = order ** width
         branches: dict[BasisState, int] = {}
         for R, coeff in pairs:
             branches[BasisState(R, self.padded_f_matrix(spec, R))] = coeff
@@ -558,9 +569,9 @@ class QuantumProtocol:
         one-row ones. Over every u the mean is the one-row mean to the m-th
         power, so exhaustive mode never sums the N^m products."""
         n_rounds = self.layout.n_rounds
-        if u_mode == "exhaustive" and n_rounds ** self.copies > MAX_BRANCHES:
+        if u_mode == "exhaustive" and _power_exceeds(n_rounds, self.copies, MAX_BRANCHES):
             raise ProtocolSizeError(
-                f"{n_rounds ** self.copies} u vectors exceed the sparse cutoff "
+                f"{n_rounds}^{self.copies} u vectors exceed the sparse cutoff "
                 f"{MAX_BRANCHES}"
             )
         one = QuantumProtocol(self.q, self.field, 1)

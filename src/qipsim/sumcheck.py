@@ -342,8 +342,10 @@ def honest_always_accepts(
     field: Field,
     schedule: RoundSchedule | None = None,
 ) -> bool:
-    """Exhaustive completeness sweep over every challenge string, walking
-    shared prefixes once (sum_j |F|^j nodes instead of N * |F|^N)."""
+    """Whether the honest prover is accepted on every challenge string,
+    checked round by round: each honest message must equal the true suffix
+    value at every r in F, for every setting of the variables bound before
+    its round (``_kernels.honest_sweep``). The cutoff stays |F|^N."""
     schedule = schedule or build_schedule(q)
     sweep_size(field, schedule)
     return field.ops.honest_sweep(

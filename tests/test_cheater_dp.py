@@ -4,11 +4,13 @@ generated formulas, plus frozen values beyond the oracles' reach."""
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from cheater_oracle import combine, oracle_cheater, oracle_row_messages
 from strategies import formulas
+from qipsim import sumcheck
 from qipsim.gf2k import Field
 from qipsim.qbf import parse_qbf
 from qipsim.sumcheck import (
@@ -88,6 +90,24 @@ def test_combine_keys_match_brute_force():
                     for v, members in enumerate(groups):
                         assert members.tolist() == [
                             c for c, key in enumerate(want[rho]) if key == v]
+
+
+@pytest.mark.parametrize("text, k", [
+    ("A x1 A x2 : x1 & x2", 2),
+    ("E x1 A x2 : (x1 | ~x2) & (~x1 | x2)", 2),
+    ("A x1 : x1 & x1 & x1", 3),
+])
+def test_blocked_scores_match_one_block(monkeypatch, text, k):
+    q, field = parse_qbf(text), Field(k)
+    policy, value = optimal_cheater(q, field)
+    # 32 entries hold two assignments of a linear round's 16 candidates at
+    # k = 2, and less than one assignment of every other round's candidates,
+    # which then go one assignment per block; at n = 2 a round has up to
+    # four assignments, so it spans two to four blocks
+    monkeypatch.setattr(sumcheck, "_SCORE_BLOCK", 32)
+    blocked, blocked_value = optimal_cheater(q, field)
+    assert blocked_value == value
+    assert blocked.choice == policy.choice
 
 
 def test_cubic_k4_frozen_and_realized():

@@ -108,6 +108,24 @@ def test_quantum_run_lookahead_detected(capsys):
     ]
 
 
+def test_quantum_run_biased_single(capsys):
+    # every copy's support is the all-zero challenge matrix
+    res = run_json(
+        capsys, "quantum", "run", "--formula", "E x1 : x1",
+        "--k", "2", "--m", "2", "--prover", "biased:single",
+    )["result"]
+    assert [e["step1_pass"]["rational"] for e in res["per_u"]] == ["1/1"] * 4
+    assert [e["accept"]["rational"] for e in res["per_u"]] == ["1/256", "1/64", "1/64", "1/16"]
+    assert res["mean_accept"]["rational"] == "25/1024"
+    assert res["events"]["resume_union_per_row"] == [{"rational": "0/1", "float": 0.0}] * 2
+
+    res = run_json(
+        capsys, "quantum", "run", "--formula", "A x1 : x1",
+        "--k", "1", "--m", "1", "--prover", "biased:single", "--dense-check",
+    )["result"]
+    assert res["dense_check"]["agrees"] is True
+
+
 def test_quantum_run_sample_mode_deterministic(capsys):
     argv = [
         "quantum", "run", "--formula", "E x1 : x1", "--k", "2", "--m", "2",
@@ -230,6 +248,13 @@ def test_trials_must_be_positive(capsys, trials):
     err = _parse_error(capsys, "classical", "run", "--formula", "A x1 : x1",
                        "--k", "2", "--trials", trials)
     assert f"qipsim: error: argument --trials: must be a positive integer, not {trials}" in err
+
+
+@pytest.mark.parametrize("xlen", ["0", "-3"])
+def test_xlen_must_be_positive(capsys, xlen):
+    err = _parse_error(capsys, "bound", "--d", "1", "--N", "7", "--m", "1", "--k", "1",
+                       "--xlen", xlen)
+    assert f"qipsim: error: argument --xlen: must be a positive integer, not {xlen}" in err
 
 
 @pytest.mark.parametrize("flag, counts", [

@@ -76,6 +76,12 @@ def test_syntax_errors_carry_position():
     with pytest.raises(QbfSyntaxError) as e:
         parse_qbf("E x1 :\n  x3")
     assert e.value.line == 2
+    # variable indices are ASCII digits only: a superscript two or an
+    # Arabic-Indic one is not read as a digit
+    for text in ("E x1 : x\u00b2", "E x1 : x\u0661"):
+        with pytest.raises(QbfSyntaxError) as e:
+            parse_qbf(text)
+        assert (e.value.line, e.value.col) == (1, 8), text
 
 
 def test_eval_qbf_truth_table():

@@ -126,8 +126,8 @@ def test_prepare_biased_validation():
 
 def test_prepare_size_cutoff():
     q = parse_qbf("E x1 : x1")
-    proto = QuantumProtocol(q, Field(4), 3)  # 16^6 branches
-    with pytest.raises(ProtocolSizeError):
+    proto = QuantumProtocol(q, Field(4), 3)
+    with pytest.raises(ProtocolSizeError, match=r"^16\^6 branches exceed the sparse cutoff 65536$"):
         proto.prepare_round1(HonestProver())
 
 
@@ -320,6 +320,11 @@ def test_row_path_cutoffs():
     wide = QuantumProtocol(q, Field(9), 2)
     with pytest.raises(ProtocolSizeError):
         wide.run(HonestProver(), u_mode="sample", samples=1)  # 2^18 branches per row
+    # 5^7000 has more digits than int-to-str conversion allows by default:
+    # the guard decides without building the power, and names it as one
+    many = QuantumProtocol(parse_qbf("A x1 A x2 : x1 & x2"), Field(1), 7000)
+    with pytest.raises(ProtocolSizeError, match=r"^5\^7000 u vectors exceed the sparse cutoff 65536$"):
+        many.run(HonestProver())
 
 
 def test_report_document_shape():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from cheater_oracle import combine
 from strategies import formulas
+from sweep_oracle import oracle_always_accepts
+from test_acceptance import CORPUS
 from qipsim.gf2k import Field, poly_degree, poly_trim
 from qipsim.qbf import arith_eval, eval_qbf, parse_qbf
 from qipsim.sumcheck import (
@@ -199,6 +202,54 @@ def test_honest_sweep_cutoff():
     q = parse_qbf("E x1 : x1")
     with pytest.raises(ProtocolSizeError):
         honest_always_accepts(q, Field(16))  # 2^32 challenge strings
+
+
+def _bound_variants(schedule):
+    """The schedule's own degree bounds, each bound of 2 or more lowered by
+    one (the honest messages may then not fit), only the last round's bound
+    lowered by one (a misfit then shows only once every variable is bound,
+    and maybe only at some settings of them), and every bound raised by
+    one."""
+    bounds = schedule.degree_bounds
+    return {
+        "own": schedule,
+        "lowered": dataclasses.replace(
+            schedule, degree_bounds=tuple(d - 1 if d >= 2 else d for d in bounds)
+        ),
+        "last lowered": dataclasses.replace(
+            schedule, degree_bounds=bounds[:-1] + (max(1, bounds[-1] - 1),)
+        ),
+        "raised": dataclasses.replace(schedule, degree_bounds=tuple(d + 1 for d in bounds)),
+    }
+
+
+@settings(max_examples=60)
+@given(formulas(), st.sampled_from((1, 2)),
+       st.sampled_from(("own", "lowered", "last lowered", "raised")))
+def test_honest_sweep_matches_prefix_walk(q, k, variant):
+    schedule = _bound_variants(build_schedule(q))[variant]
+    verdict = honest_always_accepts(q, Field(k), schedule)
+    event(f"{variant} accepts={verdict}")
+    assert verdict == oracle_always_accepts(q, Field(k), schedule)
+
+
+# True, yet with the last round's bound lowered the honest message misfits
+# at k = 2 only at some settings of the variables bound before that round:
+# a sweep that tried one setting of them would accept.
+SPARSE_MISFIT = "E x1 E x2 : (((x1 & x1) | x1) & (~x2 | (x2 & x1)))"
+
+
+def test_honest_sweep_matches_prefix_walk_on_corpus():
+    late_rejections = 0
+    for q in CORPUS + [parse_qbf(SPARSE_MISFIT)]:
+        for variant, schedule in _bound_variants(build_schedule(q)).items():
+            for k in (1, 2, 3):
+                verdict = honest_always_accepts(q, Field(k), schedule)
+                assert verdict == oracle_always_accepts(q, Field(k), schedule), (q, variant, k)
+                late_rejections += eval_qbf(q) and not verdict
+    # true formulas whose honest messages outgrow a lowered bound: the chain
+    # is 1, so these verdicts come from a round after the first
+    assert late_rejections > 0
 
 
 def test_run_protocol_honest():
