@@ -20,6 +20,9 @@ from typing import NamedTuple
 
 PRECISION_BITS = 200
 MIXTURE_TOL = 1e-12
+# The bound's cost grows quadratically in k (eps = d*m / 2^k is a k-bit
+# division): 2^16 bits take milliseconds, 2^20 seconds.
+MAX_BOUND_K = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -32,6 +35,8 @@ class BoundParams:
     def __post_init__(self):
         if min(self.d, self.n_rounds, self.m, self.k) < 1:
             raise ValueError("bound parameters must be positive")
+        if self.k > MAX_BOUND_K:
+            raise ValueError(f"k = {self.k} exceeds the bound's cutoff {MAX_BOUND_K}")
 
     @property
     def error_term(self) -> Fraction:

@@ -378,12 +378,12 @@ def build_parser() -> _Parser:
 
     bound = sub.add_parser("bound", help="analytic soundness bound")
     bound.add_argument("--xlen", type=_positive_int, help="input length for the target 2^-xlen")
-    bound.add_argument("--d", type=int, required=True, help="degree bound")
+    bound.add_argument("--d", type=_positive_int, required=True, help="degree bound")
     ngrp = bound.add_mutually_exclusive_group(required=True)
-    ngrp.add_argument("--n", type=int, help="variable count (derives N)")
-    ngrp.add_argument("--N", type=int, help="round count")
-    bound.add_argument("--m", type=int, help="explicit register rows")
-    bound.add_argument("--k", type=int, help="explicit field bits")
+    ngrp.add_argument("--n", type=_positive_int, help="variable count (derives N)")
+    ngrp.add_argument("--N", type=_positive_int, help="round count")
+    bound.add_argument("--m", type=_positive_int, help="explicit register rows")
+    bound.add_argument("--k", type=_positive_int, help="explicit field bits")
     _add_output_args(bound)
     bound.set_defaults(func=cmd_bound, label="bound")
 

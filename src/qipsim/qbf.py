@@ -3,7 +3,7 @@
 Grammar: a quantifier prefix, a colon, then a propositional matrix.
 
     formula    := (("E" | "A") var)+ ":" expr
-    var        := "x" digits
+    var        := "x" digits  (no leading zero)
     expr       := or ; or := and ("|" and)* ; and := unary ("&" unary)*
     unary      := "~" unary | var | "(" expr ")"
 
@@ -189,6 +189,8 @@ class _Parser:
         if tok[0] is not None and tok[0].startswith("x"):
             self.take()
             idx = int(tok[0][1:])
+            if tok[0] != f"x{idx}":
+                self.fail(f"variable {tok[0]} has a leading zero", tok)
             if not 1 <= idx <= n:
                 self.fail(f"variable {tok[0]} is not bound by the prefix", tok)
             return Var(idx)

@@ -36,11 +36,15 @@ small sizes.
 
 A row prover answers each row from that row's challenges alone, so the
 state is a product over rows and every result factors by row;
-``QuantumProtocol.run`` then simulates one row and multiplies out.
+``QuantumProtocol.run`` then simulates one row, at every m, and multiplies
+out. Every other prover is simulated on all m rows. Either way the run's u
+vectors are drawn first, and an exhaustive run past ``MAX_BRANCHES`` of
+them is refused before any simulation.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -70,12 +74,6 @@ MAX_DENSE_QUBITS = 26
 RMatrix = tuple[tuple[int, ...], ...]
 FMatrix = tuple[tuple[UniPoly, ...], ...]
 PerU = list[tuple[tuple[int, ...], Fraction]]  # [(u, joint acceptance)]
-# (step-1 pass, per u, mean over those u, per-row resume-union events or None)
-RunResult = tuple[Fraction, PerU, Fraction, Optional[list[Fraction]]]
-
-
-def _mean(per_u: PerU) -> Fraction:
-    return sum(a for _, a in per_u) / len(per_u)
 
 
 def _power_exceeds(base: int, exp: int, cap: int) -> bool:
@@ -369,6 +367,23 @@ class QuantumProtocol:
             for x in row:
                 self.field.check(x)
 
+    def _check_support(self, spec: BiasedSupportProver) -> None:
+        """Refuse a support that is not a set of challenge matrices of this
+        shape over this field, or weights that are not one nonzero weight
+        per matrix with squares summing to 1."""
+        support = spec.support
+        for R in support:
+            self._check_r_matrix(R)
+        if len(set(support)) != len(support):
+            raise ValueError("support contains duplicate challenge matrices")
+        if spec.weights is not None:
+            if len(spec.weights) != len(support):
+                raise ValueError("one weight per support matrix required")
+            if any(w == 0 for w in spec.weights):
+                raise ValueError("weights must be nonzero")
+            if sum(w * w for w in spec.weights) != 1:
+                raise ValueError("squared weights must sum to 1")
+
     def all_r_matrices(self) -> Iterable[RMatrix]:
         rows = list(itertools.product(self.field.elements(), repeat=self.layout.n_rounds))
         return itertools.product(rows, repeat=self.copies)
@@ -377,21 +392,12 @@ class QuantumProtocol:
         """The prover's round-1 state: branches |R> |F(R)>, with the private
         copy S = R implied rather than stored."""
         if isinstance(spec, BiasedSupportProver):
+            self._check_support(spec)
             support = spec.support
-            for R in support:
-                self._check_r_matrix(R)
-            if len(set(support)) != len(support):
-                raise ValueError("support contains duplicate challenge matrices")
             if spec.weights is None:
                 coeffs = [1] * len(support)
                 scale = len(support)
             else:
-                if len(spec.weights) != len(support):
-                    raise ValueError("one weight per support matrix required")
-                if any(w == 0 for w in spec.weights):
-                    raise ValueError("weights must be nonzero")
-                if sum(w * w for w in spec.weights) != 1:
-                    raise ValueError("squared weights must sum to 1")
                 # Over the least common denominator D, weight w is w*D / D,
                 # so its numerator is an int and scale = D^2.
                 denom = math.lcm(*(w.denominator for w in spec.weights))
@@ -524,71 +530,26 @@ class QuantumProtocol:
             itertools.product(range(1, self.layout.n_rounds + 1), repeat=self.copies)
         )
 
-    @staticmethod
-    def _check_u_mode(u_mode: str, samples: int) -> None:
-        if u_mode not in ("exhaustive", "sample"):
-            raise ValueError("u_mode must be 'exhaustive' or 'sample'")
-        if u_mode == "sample" and samples < 1:
-            raise ValueError("sample mode needs samples >= 1")
-
     def _draw_us(self, u_mode: str, samples: int, seed: int) -> list[tuple[int, ...]]:
+        """The run's u vectors: all N^m in exhaustive mode, refused past
+        ``MAX_BRANCHES``, or ``samples`` seeded uniform draws."""
+        n_rounds = self.layout.n_rounds
         if u_mode == "exhaustive":
+            if _power_exceeds(n_rounds, self.copies, MAX_BRANCHES):
+                raise ProtocolSizeError(
+                    f"{n_rounds}^{self.copies} u vectors exceed the sparse cutoff "
+                    f"{MAX_BRANCHES}"
+                )
             return self.all_u()
+        if u_mode != "sample":
+            raise ValueError("u_mode must be 'exhaustive' or 'sample'")
+        if samples < 1:
+            raise ValueError("sample mode needs samples >= 1")
         rng = random.Random(seed)
         return [
-            tuple(rng.randrange(1, self.layout.n_rounds + 1)
-                  for _ in range(self.copies))
+            tuple(rng.randrange(1, n_rounds + 1) for _ in range(self.copies))
             for _ in range(samples)
         ]
-
-    def _run_joint(self, spec: ProverSpec, u_mode: str, samples: int,
-                   seed: int) -> RunResult:
-        """Step-1 pass, per-u acceptance and per-row events, computed on
-        the whole step-1-filtered sparse state."""
-        state = self.prepare_round1(spec)
-        step1_pass, filtered = self.step1_filter(state)
-        per_u: PerU = [
-            (u, self.step4_accept_prob(filtered, u))
-            for u in self._draw_us(u_mode, samples, seed)
-        ]
-        events = None
-        if step1_pass > 0:
-            events = [
-                self.resume_union_probability(filtered, i)
-                for i in range(1, self.copies + 1)
-            ]
-        return step1_pass, per_u, _mean(per_u), events
-
-    def _run_by_row(self, spec: RowProver, u_mode: str, samples: int,
-                    seed: int) -> RunResult:
-        """The same results as ``_run_joint`` for a row prover, from one
-        simulated row. The round-1 state is a product over rows, and step 1
-        and the step-4 groups both act row by row, so the step-1
-        pass is p^m, accept(u) is the product of the one-row joint
-        probabilities a(u_i), and each row's conditional events are the
-        one-row ones. Over every u the mean is the one-row mean to the m-th
-        power, so exhaustive mode never sums the N^m products."""
-        n_rounds = self.layout.n_rounds
-        if u_mode == "exhaustive" and _power_exceeds(n_rounds, self.copies, MAX_BRANCHES):
-            raise ProtocolSizeError(
-                f"{n_rounds}^{self.copies} u vectors exceed the sparse cutoff "
-                f"{MAX_BRANCHES}"
-            )
-        one = QuantumProtocol(self.q, self.field, 1)
-        p, row_per_u, row_mean, row_events = one._run_joint(
-            spec, "exhaustive", 0, 0)
-        # Integer products, one reduction per u: Fraction products reduce
-        # at every factor.
-        nums = [acc.numerator for _, acc in row_per_u]
-        dens = [acc.denominator for _, acc in row_per_u]
-        per_u = [
-            (u, Fraction(math.prod(nums[x - 1] for x in u),
-                         math.prod(dens[x - 1] for x in u)))
-            for u in self._draw_us(u_mode, samples, seed)
-        ]
-        mean = row_mean ** self.copies if u_mode == "exhaustive" else _mean(per_u)
-        events = None if row_events is None else row_events * self.copies
-        return p ** self.copies, per_u, mean, events
 
     def run(
         self,
@@ -597,18 +558,50 @@ class QuantumProtocol:
         samples: int = 0,
         seed: int = 0,
     ) -> QuantumRunReport:
-        """Exact run over every u in {1..N}^m or over sampled ones. A row
-        prover (``RowProver``, ``HonestProver``, ``full_lookahead``) with
-        m > 1 is simulated on one row of |F|^N branches, so ``MAX_BRANCHES``
-        bounds |F|^N and, in exhaustive mode, the N^m u vectors; any other
-        prover is simulated jointly on |F|^(mN) branches."""
-        self._check_u_mode(u_mode, samples)
-        if isinstance(spec, RowProver) and self.copies > 1:
-            step1_pass, per_u, mean, events = self._run_by_row(
-                spec, u_mode, samples, seed)
+        """Exact run over every u in {1..N}^m or over sampled ones.
+
+        A row prover (``RowProver``, ``HonestProver``, ``full_lookahead``)
+        is simulated on one row of |F|^N branches, at every m; any other
+        prover on all m rows, |F|^(mN) branches. ``MAX_BRANCHES`` caps the
+        simulated branches and, in exhaustive mode, the N^m u vectors, which
+        are drawn before any simulation. The m rows are blocks of the
+        simulated width (1 or m), and the round-1 state is a product over
+        blocks on which step 1 and the step-4 groups act block by block: the
+        step-1 pass is p^blocks, accept(u) is the product of the simulated
+        a(v) over u's blocks v, each row's events repeat per block, and over
+        every u the mean is the simulated mean to the power blocks, so
+        exhaustive mode never sums the N^m products."""
+        us = self._draw_us(u_mode, samples, seed)
+        sim = QuantumProtocol(self.q, self.field, 1) if isinstance(spec, RowProver) else self
+        width, blocks = sim.copies, self.copies // sim.copies
+        p, filtered = sim.step1_filter(sim.prepare_round1(spec))
+        events = None
+        if p > 0:
+            events = [sim.resume_union_probability(filtered, i)
+                      for i in range(1, width + 1)] * blocks
+
+        @functools.cache
+        def a(v: tuple[int, ...]) -> tuple[int, int]:
+            """Simulated acceptance at block v, numerator and denominator."""
+            x = sim.step4_accept_prob(filtered, v)
+            return x.numerator, x.denominator
+
+        def accept(u: tuple[int, ...]) -> Fraction:
+            # An integer product over u's blocks (zipping one iterator width
+            # times cuts u into them) with one reduction at the end:
+            # Fraction products reduce at every factor.
+            num = den = 1
+            for v in zip(*[iter(u)] * width):
+                n, d = a(v)
+                num, den = num * n, den * d
+            return Fraction(num, den)
+
+        per_u = [(u, accept(u)) for u in us]
+        if u_mode == "exhaustive":
+            vs = sim.all_u()
+            mean = (sum(Fraction(*a(v)) for v in vs) / len(vs)) ** blocks
         else:
-            step1_pass, per_u, mean, events = self._run_joint(
-                spec, u_mode, samples, seed)
+            mean = sum(x for _, x in per_u) / len(per_u)
         sb = soundness_bound(BoundParams(
             d=self.schedule.degree_bound,
             n_rounds=self.layout.n_rounds,
@@ -623,7 +616,7 @@ class QuantumProtocol:
                 "m": self.copies,
                 "d": self.schedule.degree_bound,
             },
-            step1_pass=step1_pass,
+            step1_pass=p ** blocks,
             per_u=per_u,
             mean_accept=mean,
             bound={"value": float(sb.value), "vacuous": sb.vacuous},
@@ -745,6 +738,7 @@ def dense_oracle(
     # permutation writes F(R) and copies R into S. Biased support: direct
     # state injection on the chosen branches.
     if isinstance(spec, BiasedSupportProver):
+        proto._check_support(spec)
         n = len(spec.support)
         for pos, R in enumerate(spec.support):
             amp = float(spec.weights[pos]) if spec.weights is not None else 1.0 / np.sqrt(n)

@@ -7,6 +7,7 @@ import mpmath
 import pytest
 
 from qipsim.bounds import (
+    MAX_BOUND_K,
     BoundParams,
     check_mixture_bound,
     choose_params,
@@ -218,5 +219,13 @@ def test_choose_params_validation():
 def test_bound_params_validation():
     with pytest.raises(ValueError):
         BoundParams(d=0, n_rounds=2, m=1, k=2)
+    # the cost is quadratic in k: 2^16 bits take milliseconds, and past the
+    # cutoff both an explicit k and the k choose_params picks are refused
+    assert MAX_BOUND_K == 1 << 16
+    assert not soundness_bound(BoundParams(d=3, n_rounds=9, m=1, k=1 << 16)).vacuous
+    with pytest.raises(ValueError, match="exceeds the bound's cutoff 65536"):
+        BoundParams(d=3, n_rounds=9, m=1, k=(1 << 16) + 1)
+    with pytest.raises(ValueError, match="exceeds the bound's cutoff 65536"):
+        choose_params(2_000_000, 3, 9)
     p = BoundParams(d=2, n_rounds=5, m=1, k=2)
     assert p.error_term == Fraction(2, 4)

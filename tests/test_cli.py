@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -125,6 +126,14 @@ def test_quantum_run_biased_single(capsys):
     )["result"]
     assert res["dense_check"]["agrees"] is True
 
+    # 2^17 u vectors: the joint engine is refused before any simulation too
+    code, out, err = run_cli(
+        capsys, "quantum", "run", "--formula", "E x1 : x1",
+        "--k", "1", "--m", "17", "--prover", "biased:single",
+    )
+    assert code == 2 and out == ""
+    assert err == "qipsim: error: 2^17 u vectors exceed the sparse cutoff 65536\n"
+
 
 def test_quantum_run_sample_mode_deterministic(capsys):
     argv = [
@@ -188,6 +197,12 @@ def test_bound_param_errors(capsys):
     assert code == 2 and "qipsim: error:" in err
     code, _, err = run_cli(capsys, "bound", "--d", "3", "--N", "2")
     assert code == 2 and "qipsim: error:" in err
+    # k past 2^16, given or picked from --xlen
+    for argv in (["--m", "1", "--k", "4000000"], ["--xlen", "2000000"]):
+        code, out, err = run_cli(capsys, "bound", "--d", "3", "--N", "9", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("qipsim: error: k = ")
+        assert "exceeds the bound's cutoff 65536" in err
 
 
 def test_field_table(capsys):
@@ -250,11 +265,15 @@ def test_trials_must_be_positive(capsys, trials):
     assert f"qipsim: error: argument --trials: must be a positive integer, not {trials}" in err
 
 
-@pytest.mark.parametrize("xlen", ["0", "-3"])
-def test_xlen_must_be_positive(capsys, xlen):
-    err = _parse_error(capsys, "bound", "--d", "1", "--N", "7", "--m", "1", "--k", "1",
-                       "--xlen", xlen)
-    assert f"qipsim: error: argument --xlen: must be a positive integer, not {xlen}" in err
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("flag", ["--xlen", "--n", "--N", "--d", "--m", "--k"])
+def test_xlen_must_be_positive(capsys, flag, value):
+    args = {"--d": "1", "--N": "7", "--m": "1", "--k": "1", "--xlen": "1"}
+    if flag == "--n":
+        del args["--N"]  # --n and --N exclude each other
+    args[flag] = value
+    err = _parse_error(capsys, "bound", *itertools.chain(*args.items()))
+    assert f"qipsim: error: argument {flag}: must be a positive integer, not {value}" in err
 
 
 @pytest.mark.parametrize("flag, counts", [

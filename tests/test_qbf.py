@@ -82,6 +82,10 @@ def test_syntax_errors_carry_position():
         with pytest.raises(QbfSyntaxError) as e:
             parse_qbf(text)
         assert (e.value.line, e.value.col) == (1, 8), text
+    # matrix variables are spelled like prefix variables: no leading zero
+    with pytest.raises(QbfSyntaxError, match="x01 has a leading zero") as e:
+        parse_qbf("A x1 : x01")
+    assert (e.value.line, e.value.col) == (1, 8)
 
 
 def test_eval_qbf_truth_table():

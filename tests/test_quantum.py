@@ -105,23 +105,24 @@ def test_prepare_biased():
 
 
 def test_prepare_biased_validation():
+    # the sparse engine and the dense oracle refuse the same supports
     q = parse_qbf("E x1 : x1")
     proto = QuantumProtocol(q, Field(2), 1)
     with pytest.raises(ValueError):
         BiasedSupportProver([])
-    with pytest.raises(ValueError):
-        proto.prepare_round1(BiasedSupportProver([((0, 0),), ((0, 0),)]))
-    with pytest.raises(ValueError):
-        proto.prepare_round1(BiasedSupportProver(
-            [((0, 0),), ((0, 1),)], weights=[Fraction(1, 2), Fraction(1, 2)]))
-    with pytest.raises(ValueError):
-        proto.prepare_round1(BiasedSupportProver(
-            [((0, 0),), ((0, 1),)], weights=[Fraction(1)]))
-    with pytest.raises(ValueError):
-        proto.prepare_round1(BiasedSupportProver(
-            [((0, 0),), ((0, 1),)], weights=[Fraction(0), Fraction(1)]))
-    with pytest.raises(ValueError):
-        proto.prepare_round1(BiasedSupportProver([((0, 9),)]))  # not a field element
+    two = [((0, 0),), ((0, 1),)]
+    bad = [
+        BiasedSupportProver([((0, 0),), ((0, 0),)]),  # duplicate matrices
+        BiasedSupportProver(two, weights=[Fraction(1, 2), Fraction(1, 2)]),  # squares sum to 1/2
+        BiasedSupportProver(two, weights=[Fraction(1)]),  # one weight short
+        BiasedSupportProver(two, weights=[Fraction(0), Fraction(1)]),  # a zero weight
+        BiasedSupportProver([((0, 9),)]),  # not a field element
+    ]
+    for spec in bad:
+        with pytest.raises(ValueError):
+            proto.prepare_round1(spec)
+        with pytest.raises(ValueError):
+            dense_oracle(q, 2, 1, spec, (1,))
 
 
 def test_prepare_size_cutoff():
@@ -262,7 +263,7 @@ JOINT_WORK = 30_000
 
 
 @settings(max_examples=25)
-@given(formulas(), st.sampled_from((1, 2)), st.sampled_from((2, 3)),
+@given(formulas(), st.sampled_from((1, 2)), st.sampled_from((1, 2, 3)),
        st.sampled_from(("honest", "lookahead")), st.integers(0, 1 << 32))
 def test_row_path_matches_joint_engine(q, k, m, kind, seed):
     f = Field(k)
@@ -325,6 +326,17 @@ def test_row_path_cutoffs():
     many = QuantumProtocol(parse_qbf("A x1 A x2 : x1 & x2"), Field(1), 7000)
     with pytest.raises(ProtocolSizeError, match=r"^5\^7000 u vectors exceed the sparse cutoff 65536$"):
         many.run(HonestProver())
+
+
+def test_joint_engine_u_cap():
+    # the N^m cap holds for every prover, and the u vectors are drawn before
+    # round 1: one biased branch over 17 rows is refused at once
+    proto = QuantumProtocol(parse_qbf("E x1 : x1"), Field(1), 17)
+    with pytest.raises(ProtocolSizeError, match=r"^2\^17 u vectors exceed the sparse cutoff 65536$"):
+        proto.run(BiasedSupportProver([((0, 0),) * 17]))
+    sampled = proto.run(BiasedSupportProver([((0, 0),) * 17]),
+                        u_mode="sample", samples=2, seed=1)
+    assert len(sampled.per_u) == 2
 
 
 def test_report_document_shape():
