@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 import random
@@ -404,6 +405,45 @@ def test_transcript_dict_roundtrip_generated(q, k, cheat, seed):
     policy = optimal_cheater(q, f)[0] if cheat and k <= 2 else honest_policy(q, f)
     tr = run_protocol(q, f, policy, rng=seed)
     assert transcript_from_dict(json.loads(json.dumps(tr.to_dict()))) == tr
+
+
+# sha256 of the sorted-key JSON of seeded honest transcripts, recorded before
+# the kernels' fast paths (reduce shortcut, Boolean selects, cached Lagrange
+# basis, comb multiply) went in: the honest messages must not change
+_CLAUSES = "A x1 E x2 E x3 : (x1 | ~x2 | x3) & (~x1 | x2) & (x2 | ~x3)"
+_MIXED = "E x1 A x2 E x3 : (x1 & ~x2) | (x2 & x3) | ~(x1 | x3)"
+FROZEN_TRANSCRIPTS = {
+    (_CLAUSES, 9, 0): "bbfb2e643451417bf3aec12463be35e5b99ade956a0671767b3388c5c65324e6",
+    (_CLAUSES, 9, 1): "fc824c2ab5deb31ecf5cd83eb4f21f2ba89d6eaac2fe99e33235ad43557062a0",
+    (_CLAUSES, 9, 2): "8f5408f428cbfab9557917913244f8b250e2d0b1aece707fb2fd5d86cd6d0367",
+    (_CLAUSES, 32, 0): "dbbe6528cd1cbd122888f362c886001c3dd955203e4e99e410ca8fab94f23711",
+    (_CLAUSES, 32, 1): "9185a66d656e1f95d1b88886b7258a030dcc973bc49a55dcef6f7c7181a2c191",
+    (_CLAUSES, 32, 2): "0d073e306757f36a1fb88c2e06cdc11a479f064f15920968e77f7974f286517c",
+    (_CLAUSES, 64, 0): "357214f7f92bc982acaf26e5e6612b8e508f60b322b2ebacc6b23878c89c6018",
+    (_CLAUSES, 64, 1): "7541e4128ea062cae367c79116db251ffbd96fd704581e9059d1dce80a0a13b6",
+    (_CLAUSES, 64, 2): "df7f8934e91a98927def44ee10bbde5171920972cdd7e08c43fd6eb8978017de",
+    (_MIXED, 9, 0): "5848a48d38a68b9e4943ac1b07bf73dd8f13ae88664e9a66c9150f9665f1053b",
+    (_MIXED, 9, 1): "49e3b0199bc994508c9b1778c7099c7b7440d132e927d277d4c1f3273301c2a8",
+    (_MIXED, 9, 2): "2671263041bfd2154d88f5c8693a7dc911a02974ffe298dadc1ce15e75004604",
+    (_MIXED, 32, 0): "364adee1ca10920f76080d67520bcb6b92cc14bf948896c44fdbba86f852c536",
+    (_MIXED, 32, 1): "2211aa148f0b35147a21cdf55aef5cc76e4f6602e99bec05e0f63e32a55c48a0",
+    (_MIXED, 32, 2): "45347f9b002f56e00ad23879b7d6c6a0e737c5b3289afec4bdce3a70a13f0576",
+    (_MIXED, 64, 0): "bac4c67ac8234325a6ef9124fbe98eb21f2ee2d06c433c67e0c1071efd9533d3",
+    (_MIXED, 64, 1): "e0652f12a7e1f72551cfd33a5c65625ade3e75f64980b8751a038fad8b08fd19",
+    (_MIXED, 64, 2): "651d9ac3c5e0d02a6b2393a104e22dea6974bf6d2689f0a81b3df2324a823d9d",
+}
+
+
+def test_seeded_honest_transcripts_frozen():
+    changed = []
+    for (text, k, seed), want in FROZEN_TRANSCRIPTS.items():
+        q, f = parse_qbf(text), Field(k)
+        tr = run_protocol(q, f, honest_policy(q, f), rng=seed)
+        assert tr.accepted
+        doc = json.dumps(tr.to_dict(), sort_keys=True).encode()
+        if hashlib.sha256(doc).hexdigest() != want:
+            changed.append((text, k, seed))
+    assert not changed
 
 
 def test_optimal_cheater_frozen_value():
