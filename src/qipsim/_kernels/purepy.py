@@ -91,19 +91,36 @@ def find_modulus(k: int) -> int:
 
 
 def _mulmod(a: int, b: int, g: int, k: int) -> int:
-    mask = (1 << k) - 1
-    top = 1 << (k - 1)
-    glow = g & mask
+    """a*b mod g by a 4-bit comb. The window holds the carry-less products
+    a*h for the 16 polynomials h of degree < 4, so the product a*b is built
+    from b's nibbles, top first, as p = p*x^4 + window[nibble]. p then has
+    degree < 2k - 1, and its bits at x^k and above are cleared 4 at a time,
+    top first: XOR-ing in the multiple of g whose bits x^k..x^(k+3) are the
+    nibble h (``_reduction_table``), shifted into place, clears that nibble
+    and leaves p's residue mod g unchanged."""
+    a2 = a << 1
+    a4 = a << 2
+    a8 = a << 3
+    a3 = a2 ^ a
+    a12 = a8 ^ a4
+    window = (0, a, a2, a3, a4, a4 ^ a, a4 ^ a2, a4 ^ a3,
+              a8, a8 ^ a, a8 ^ a2, a8 ^ a3, a12, a12 ^ a, a12 ^ a2, a12 ^ a3)
     p = 0
-    while b:
-        if b & 1:
-            p ^= a
-        b >>= 1
-        carry = a & top
-        a = (a << 1) & mask
-        if carry:
-            a ^= glow
+    for s in range((b.bit_length() - 1) & ~3, -1, -4):
+        p = (p << 4) ^ window[(b >> s) & 15]
+    red = _reduction_table(g, k)
+    for s in range((p.bit_length() - k - 1) & ~3, -1, -4):
+        p ^= red[p >> (k + s)] << s
     return p
+
+
+# 16 ints per (g, k), and a process multiplies in only a few fields; the
+# bound holds even for a caller that cycles through many moduli.
+@functools.lru_cache(maxsize=64)
+def _reduction_table(g: int, k: int) -> tuple[int, ...]:
+    """Entry h is h*x^k + (h*x^k mod g): the multiple of g whose bits at
+    x^k..x^(k+3) are the nibble h and whose other bits lie below x^k."""
+    return tuple((h << k) ^ _pdivmod(h << k, g)[1] for h in range(16))
 
 
 def _table(g: int, k: int) -> list[list[int]]:
@@ -144,29 +161,51 @@ def poly_eval(coeffs: Sequence[int], z: int, g: int, k: int) -> int:
 
 
 def interpolate(xs: Sequence[int], ys: Sequence[int], g: int, k: int) -> list[int]:
-    """Lagrange interpolation; xs must be distinct. Returns len(xs) coeffs."""
-    n = len(xs)
-    out = [0] * n
-    for i in range(n):
-        num = [1]  # prod_{j != i} (z + xs[j]), lowest degree first
+    """Lagrange interpolation; xs must be distinct. Returns len(xs) coeffs:
+    the sum over i of ys[i] times the i-th basis polynomial, which depends
+    only on the nodes and comes from ``_lagrange_basis``."""
+    out = [0] * len(xs)
+    for y, basis in zip(ys, _lagrange_basis(tuple(xs), g, k)):
+        if y:
+            for t, c in enumerate(basis):
+                out[t] ^= gf_mul(y, c, g, k)
+    return out
+
+
+# The honest prover's and the sweep's nodes are always range(npts), npts at
+# most a round's degree cap plus one, so they fill a few entries per (g, k).
+# An entry for n nodes holds n*n ints. Other node tuples, such as those of
+# ``Field.poly_interpolate``, share the rest, least recently used out first.
+_BASIS_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=_BASIS_CACHE_SIZE)
+def _lagrange_basis(xs: tuple[int, ...], g: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Coefficients, lowest degree first, of the Lagrange basis polynomials
+    prod_{j != i} (z + xs[j]) / (xs[i] + xs[j]) for each node xs[i]."""
+    basis = []
+    for i, xi in enumerate(xs):
+        num = [1]
         den = 1
-        for j in range(n):
+        for j, xj in enumerate(xs):
             if j == i:
                 continue
             num.append(0)
             for t in range(len(num) - 1, 0, -1):
-                num[t] = num[t - 1] ^ gf_mul(num[t], xs[j], g, k)
-            num[0] = gf_mul(num[0], xs[j], g, k)
-            den = gf_mul(den, xs[i] ^ xs[j], g, k)
-        scale = gf_mul(ys[i], gf_inv(den, g, k), g, k)
-        for t in range(n):
-            out[t] ^= gf_mul(num[t], scale, g, k)
-    return out
+                num[t] = num[t - 1] ^ gf_mul(num[t], xj, g, k)
+            num[0] = gf_mul(num[0], xj, g, k)
+            den = gf_mul(den, xi ^ xj, g, k)
+        inv = gf_inv(den, g, k)
+        basis.append(tuple(gf_mul(c, inv, g, k) for c in num))
+    return tuple(basis)
 
 
 def eval_formula(prog: Sequence[int], assign: Sequence[int], g: int, k: int) -> int:
     """Run a postfix formula program over the field. assign is indexed by
-    0-based variable number; Boolean gates use 1+a and a+b+ab."""
+    0-based variable number; Boolean gates use 1+a and a+b+ab. An operand
+    that is 0 or 1 turns a gate into a select with no multiply: a AND b is
+    0 when a = 0 and b when a = 1, and a OR b = a + b + ab is b when a = 0
+    and 1 when a = 1 (and symmetrically in b)."""
     stack: list[int] = []
     for pos in range(0, len(prog), 2):
         op = prog[pos]
@@ -177,11 +216,22 @@ def eval_formula(prog: Sequence[int], assign: Sequence[int], g: int, k: int) -> 
             stack[-1] ^= 1
         elif op == OP_AND:
             b = stack.pop()
-            stack[-1] = gf_mul(stack[-1], b, g, k)
+            a = stack[-1]
+            if a <= 1:
+                stack[-1] = b if a else 0
+            elif b <= 1:
+                stack[-1] = a if b else 0
+            else:
+                stack[-1] = gf_mul(a, b, g, k)
         else:
             b = stack.pop()
             a = stack[-1]
-            stack[-1] = a ^ b ^ gf_mul(a, b, g, k)
+            if a <= 1:
+                stack[-1] = 1 if a else b
+            elif b <= 1:
+                stack[-1] = 1 if b else a
+            else:
+                stack[-1] = a ^ b ^ gf_mul(a, b, g, k)
     return stack[-1]
 
 
@@ -211,8 +261,16 @@ def quantified_value(
 ) -> int:
     """Value of the operator suffix kinds[start:] applied to the arithmetized
     formula, under the current assignment. assign is scratch: entries for the
-    suffix's bound variables are overwritten and restored."""
-    if start == len(kinds):
+    suffix's bound variables are overwritten and restored.
+
+    A reduce round whose variable already holds rho in {0, 1} is the next
+    suffix's value at rho, since (1+rho)*f0 + rho*f1 = f_rho there. So it
+    recurses once, with the variable left as it is, where other rounds
+    recurse twice."""
+    n = len(kinds)
+    while start < n and kinds[start] == K_REDUCE and assign[tvars[start]] <= 1:
+        start += 1
+    if start == n:
         return eval_formula(prog, assign, g, k)
     t = tvars[start]
     old = assign[t]

@@ -93,6 +93,22 @@ def build_schedule(q: PrenexQbf) -> RoundSchedule:
     return RoundSchedule(tuple(ops), tuple(bounds), d)
 
 
+def _suffix_program(
+    q: PrenexQbf,
+    schedule: RoundSchedule,
+    field: Field,
+    j: int,
+    assignment: Sequence[int],
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The size guard and element checks for evaluating the suffix after
+    round j, then the kernel's operator codes and matrix program."""
+    if 1 << (schedule.n_rounds - j) > MAX_PARTIAL_LEAVES:
+        raise ProtocolSizeError("operator suffix too deep for exact evaluation")
+    for a in assignment:
+        field.check(a)
+    return schedule.kind_codes(), schedule.var_codes(), compile_matrix(q.matrix)
+
+
 def partial_value(
     q: PrenexQbf,
     schedule: RoundSchedule,
@@ -110,18 +126,9 @@ def partial_value(
         raise ValueError(f"round index {j} outside 0..{n_rounds}")
     if len(assignment) != q.n:
         raise ValueError(f"assignment must have {q.n} entries")
-    if 1 << (n_rounds - j) > MAX_PARTIAL_LEAVES:
-        raise ProtocolSizeError("operator suffix too deep for exact evaluation")
-    for a in assignment:
-        field.check(a)
+    kinds, tvars, prog = _suffix_program(q, schedule, field, j, assignment)
     return field.ops.quantified_value(
-        schedule.kind_codes(),
-        schedule.var_codes(),
-        j,
-        compile_matrix(q.matrix),
-        list(assignment),
-        field.g,
-        field.k,
+        kinds, tvars, j, prog, list(assignment), field.g, field.k
     )
 
 
@@ -149,11 +156,13 @@ def correct_polynomial(
         raise ValueError(f"round {j} needs {j - 1} prior challenges")
     assign = _prefix_assignment(schedule, q.n, r_prefix)
     t = schedule.ops[j - 1].var - 1
+    assign[t] = 0  # the abscissae below replace the round variable's value
+    kinds, tvars, prog = _suffix_program(q, schedule, field, j, assign)
     npts = min(schedule.degree_bounds[j - 1] + 1, field.order)
     ys = []
     for z in range(npts):
         assign[t] = z
-        ys.append(partial_value(q, schedule, field, j, assign))
+        ys.append(field.ops.quantified_value(kinds, tvars, j, prog, assign, field.g, field.k))
     return tuple(field.ops.interpolate(range(npts), ys, field.g, field.k))
 
 

@@ -8,7 +8,11 @@ evaluated by recursion on the parsed tree with ``cheater_oracle.combine``."""
 import random
 from types import SimpleNamespace
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from cheater_oracle import combine as ref_combine
+from strategies import formulas
 import qipsim._kernels
 from qipsim._kernels import find_modulus, purepy
 from qipsim.gf2k import Field
@@ -78,8 +82,10 @@ def _operands(rng, k, count):
 
 
 def test_mul_parity():
+    # odd k and k that straddle a nibble probe the comb's partial top nibble
+    # and the reduction table's edges
     rng = random.Random(1)
-    for k in (2, 3, 8, 16, 32, 64):
+    for k in (2, 3, 8, 9, 13, 16, 17, 31, 32, 33, 63, 64):
         g = find_modulus(k)
         for a, b in _operands(rng, k, 500):
             assert purepy.gf_mul(a, b, g, k) == ref_mul(a, b, g)
@@ -87,7 +93,7 @@ def test_mul_parity():
 
 def test_inv_parity():
     rng = random.Random(2)
-    for k in (2, 3, 8, 16, 32, 64):
+    for k in (2, 3, 8, 16, 32, 33, 63, 64):
         g = find_modulus(k)
         for a in {1, (1 << k) - 1} | {rng.getrandbits(k) or 1 for _ in range(60)}:
             assert purepy.gf_inv(a, g, k) == ref_inv(a, g, k)
@@ -97,7 +103,7 @@ def test_poly_parity():
     # interpolating a polynomial's values at distinct nodes gives back its
     # coefficients, and the result evaluates back to the values at the nodes
     rng = random.Random(3)
-    for k in (2, 3, 8, 16, 64):
+    for k in (2, 3, 8, 16, 33, 63, 64):
         g = find_modulus(k)
         for deg in (0, 1, 2, 3, 6):
             if deg + 1 > (1 << k):
@@ -131,6 +137,33 @@ def test_formula_kernels_parity():
                     got = purepy.quantified_value(kinds, tvars, j, prog, scratch, g, k)
                     assert scratch == list(assign)
                     assert got == ref_quantified(q.matrix, sched.ops[j:], assign, g)
+
+
+@st.composite
+def _formula_points(draw):
+    """A generated formula, a field width, and an assignment whose entries
+    are each independently Boolean or a random field element."""
+    q = draw(formulas(max_n=3))
+    k = draw(st.sampled_from((2, 3, 32, 64)))
+    elem = st.one_of(st.sampled_from((0, 1)), st.integers(0, (1 << k) - 1))
+    return q, k, tuple(draw(elem) for _ in range(q.n))
+
+
+@given(_formula_points())
+def test_formula_kernels_parity_generated(inst):
+    # the reduce shortcut and the Boolean selects at Boolean, non-Boolean
+    # and mixed points
+    q, k, assign = inst
+    g = find_modulus(k)
+    sched = build_schedule(q)
+    prog = compile_matrix(q.matrix)
+    kinds, tvars = sched.kind_codes(), sched.var_codes()
+    assert purepy.eval_formula(prog, assign, g, k) == ref_formula(q.matrix, assign, g)
+    for j in range(sched.n_rounds + 1):
+        scratch = list(assign)
+        got = purepy.quantified_value(kinds, tvars, j, prog, scratch, g, k)
+        assert scratch == list(assign)
+        assert got == ref_quantified(q.matrix, sched.ops[j:], assign, g)
 
 
 def test_active_is_the_pure_module():
