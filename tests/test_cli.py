@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import golden_cli
 from qipsim.cli import main
 
 
@@ -378,3 +379,13 @@ def test_import_does_not_load_mpmath():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_golden_cli_corpus():
+    """Every invocation in ``golden_cli.json`` prints what it printed when
+    the corpus was written; ``python tests/golden_cli.py --write`` lists and
+    rewrites the entries that differ."""
+    corpus = golden_cli.load()
+    assert [e["argv"] for e in corpus] == golden_cli.invocations()
+    diff = golden_cli.changed(corpus, [golden_cli.record(e["argv"]) for e in corpus])
+    assert diff == [], "\n".join(" ".join(argv) for argv in diff)
