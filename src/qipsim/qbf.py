@@ -18,7 +18,6 @@ with Boolean evaluation, and the | rule keeps that exact in characteristic 2.
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Union
@@ -251,7 +250,6 @@ def eval_qbf(q: PrenexQbf) -> bool:
     return go(0)
 
 
-@functools.lru_cache(maxsize=256)
 def compile_matrix(e: BoolExpr) -> tuple[int, ...]:
     """Flatten the matrix to the kernels' postfix program encoding."""
     prog: list[int] = []

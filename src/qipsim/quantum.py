@@ -30,9 +30,10 @@ message columns and the verifier's R-into-S clears S: each filtered branch
 becomes (R, its kept message columns, zeros), a bijection that keeps the
 amplitudes and the registers step 4 groups by. Step 4 and the events are
 therefore read directly off the step-1-filtered state, which stores only R
-and F. A dense state-vector oracle (complex floats, explicit Hadamard gates
-and the explicit round-2 permutation) cross-checks this closed form at
-small sizes.
+and F. A dense state-vector oracle, with explicit Hadamard gates and the
+explicit round-2 permutation, cross-checks this closed form at small sizes;
+its vector is real, since Hadamard gates and real weights keep every
+amplitude real.
 
 A row prover answers each row from that row's challenges alone, so the
 state is a product over rows and every result factors by row;
@@ -701,12 +702,13 @@ class _DenseCodec:
         return R, F, S
 
 
-def _permute_support(sv: np.ndarray, mapping: Callable[[int], int]) -> np.ndarray:
-    """Apply a basis-state permutation to the nonzero support of sv."""
-    out = np.zeros_like(sv)
-    for idx in np.nonzero(sv)[0]:
-        out[mapping(int(idx))] = sv[idx]
-    return out
+def _permute_support(sv: np.ndarray, mapping: Callable[[int], int]) -> None:
+    """Apply a basis-state permutation to the nonzero support of sv in place:
+    zero the old support, then write each amplitude at its image."""
+    idxs = np.nonzero(sv)[0]
+    amps = sv[idxs]
+    sv[idxs] = 0.0
+    sv[np.fromiter((mapping(int(i)) for i in idxs), dtype=np.intp, count=len(idxs))] = amps
 
 
 def dense_oracle(
@@ -726,7 +728,7 @@ def dense_oracle(
             f"{lay.total_qubits} qubits exceed the dense limit {MAX_DENSE_QUBITS}"
         )
     codec = _DenseCodec(lay)
-    sv = np.zeros(1 << lay.total_qubits, dtype=np.complex128)
+    sv = np.zeros(1 << lay.total_qubits, dtype=np.float64)
 
     zero_f = tuple(
         tuple((0,) * (lay.degree_bound + 1) for _ in range(lay.n_rounds))
@@ -758,7 +760,7 @@ def dense_oracle(
                 raise AssertionError("preparation support must have F = S = 0")
             return codec.encode(R, proto.padded_f_matrix(spec, R), R)
 
-        sv = _permute_support(sv, write_messages)
+        _permute_support(sv, write_messages)
 
     # Step 1: project onto branches whose rows are all valid transcripts.
     for idx in np.nonzero(sv)[0]:
@@ -783,7 +785,7 @@ def dense_oracle(
         )
         return codec.encode(R, new_f, new_s)
 
-    sv = _permute_support(sv, round2)
+    _permute_support(sv, round2)
 
     # Step 4: Hadamard every hidden challenge register, then read the
     # probability that all of those qubits are zero.
@@ -797,4 +799,4 @@ def dense_oracle(
 
     idxs = np.nonzero(sv)[0]
     keep = idxs[(idxs & zero_mask) == 0]
-    return float(np.sum(np.abs(sv[keep]) ** 2))
+    return float(np.sum(sv[keep] ** 2))

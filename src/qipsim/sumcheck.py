@@ -7,6 +7,10 @@ N = n(n+1)/2 + n rounds:
 
     Q1 x1, R x1, Q2 x2, R x1, R x2, ..., Qn xn, R x1, ..., R xn
 
+``build_schedule`` compiles this chain and the matrix once, into the
+kernels' int encoding (``RoundSchedule``): the verifier, the honest prover,
+the sweep and the cheater search all read that one program.
+
 Round j: the prover sends coefficients f_j (degree capped per round), the
 verifier combines f_j(0) and f_j(1) with the round operator's rule and
 compares against the running claim, then draws a uniform field element r_j
@@ -37,7 +41,7 @@ import numpy as np
 
 from . import _kernels
 from .gf2k import Field, UniPoly, poly_degree
-from .qbf import PrenexQbf, arith_eval, compile_matrix, degree_profile
+from .qbf import PrenexQbf, compile_matrix, degree_profile
 
 MAX_PARTIAL_LEAVES = 1 << 22
 MAX_SWEEP_DRAWS = 1 << 22
@@ -49,64 +53,64 @@ class ProtocolSizeError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Operator:
-    kind: str  # 'forall' | 'exists' | 'reduce'
-    var: int   # 1-based variable index
-
-
-_KIND_CODE = {
-    "forall": _kernels.K_FORALL,
-    "exists": _kernels.K_EXISTS,
-    "reduce": _kernels.K_REDUCE,
-}
-
-
-@dataclass(frozen=True)
 class RoundSchedule:
-    ops: tuple[Operator, ...]
+    """The compiled round program. Round j applies operator ``kinds[j-1]``
+    (a ``_kernels.K_*`` code) to variable ``tvars[j-1]`` (0-based), and its
+    message has degree at most ``degree_bounds[j-1]``; ``prog`` is the
+    matrix as a kernel postfix program (``compile_matrix``)."""
+
+    kinds: tuple[int, ...]
+    tvars: tuple[int, ...]
     degree_bounds: tuple[int, ...]
     degree_bound: int  # d = max(2, structural degree of the matrix)
+    prog: tuple[int, ...]
 
     @property
     def n_rounds(self) -> int:
-        return len(self.ops)
-
-    def kind_codes(self) -> tuple[int, ...]:
-        return tuple(_KIND_CODE[op.kind] for op in self.ops)
-
-    def var_codes(self) -> tuple[int, ...]:
-        return tuple(op.var - 1 for op in self.ops)
+        return len(self.kinds)
 
 
 def build_schedule(q: PrenexQbf) -> RoundSchedule:
     per_var, d = degree_profile(q)
-    ops: list[Operator] = []
+    kinds: list[int] = []
+    tvars: list[int] = []
     bounds: list[int] = []
-    for i in range(1, q.n + 1):
-        kind = "forall" if q.quantifiers[i - 1] == "A" else "exists"
-        ops.append(Operator(kind, i))
+    for i, quant in enumerate(q.quantifiers):
+        kinds.append(_kernels.K_FORALL if quant == "A" else _kernels.K_EXISTS)
+        tvars.append(i)
         bounds.append(1)
-        last_block = i == q.n
-        for t in range(1, i + 1):
-            ops.append(Operator("reduce", t))
-            bounds.append(max(2, per_var[t - 1]) if last_block else 2)
-    return RoundSchedule(tuple(ops), tuple(bounds), d)
+        last_block = i == q.n - 1
+        for t in range(i + 1):
+            kinds.append(_kernels.K_REDUCE)
+            tvars.append(t)
+            bounds.append(max(2, per_var[t]) if last_block else 2)
+    return RoundSchedule(tuple(kinds), tuple(tvars), tuple(bounds), d,
+                         compile_matrix(q.matrix))
 
 
-def _suffix_program(
-    q: PrenexQbf,
-    schedule: RoundSchedule,
-    field: Field,
-    j: int,
-    assignment: Sequence[int],
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """The size guard and element checks for evaluating the suffix after
-    round j, then the kernel's operator codes and matrix program."""
-    if 1 << (schedule.n_rounds - j) > MAX_PARTIAL_LEAVES:
-        raise ProtocolSizeError("operator suffix too deep for exact evaluation")
+def _suffix_evaluations(schedule: RoundSchedule, j: int, assignment: Sequence[int]) -> int:
+    """Formula evaluations ``quantified_value`` makes for the suffix after
+    round j at this assignment: 2 to the number of suffix rounds that
+    branch. A quantifier round always branches; a reduce round branches only
+    when its variable holds neither 0 nor 1, and each branch leaves that
+    variable Boolean."""
+    boolean = [a <= 1 for a in assignment]
+    branching = 0
+    for kind, t in zip(schedule.kinds[j:], schedule.tvars[j:]):
+        if kind != _kernels.K_REDUCE or not boolean[t]:
+            branching += 1
+            boolean[t] = True
+    return 1 << branching
+
+
+def _check_suffix(schedule: RoundSchedule, field: Field, j: int,
+                  assignment: Sequence[int]) -> None:
+    """The element checks and the size guard for evaluating the suffix
+    after round j at this assignment."""
     for a in assignment:
         field.check(a)
-    return schedule.kind_codes(), schedule.var_codes(), compile_matrix(q.matrix)
+    if _suffix_evaluations(schedule, j, assignment) > MAX_PARTIAL_LEAVES:
+        raise ProtocolSizeError("operator suffix too deep for exact evaluation")
 
 
 def partial_value(
@@ -126,16 +130,15 @@ def partial_value(
         raise ValueError(f"round index {j} outside 0..{n_rounds}")
     if len(assignment) != q.n:
         raise ValueError(f"assignment must have {q.n} entries")
-    kinds, tvars, prog = _suffix_program(q, schedule, field, j, assignment)
-    return field.ops.quantified_value(
-        kinds, tvars, j, prog, list(assignment), field.g, field.k
-    )
+    _check_suffix(schedule, field, j, assignment)
+    return field.ops.quantified_value(schedule.kinds, schedule.tvars, j, schedule.prog,
+                                      list(assignment), field.g, field.k)
 
 
 def _prefix_assignment(schedule: RoundSchedule, n: int, r_prefix: Sequence[int]) -> list[int]:
     assign = [0] * n
-    for i, r in enumerate(r_prefix):
-        assign[schedule.ops[i].var - 1] = r
+    for t, r in zip(schedule.tvars, r_prefix):
+        assign[t] = r
     return assign
 
 
@@ -155,14 +158,17 @@ def correct_polynomial(
     if len(r_prefix) != j - 1:
         raise ValueError(f"round {j} needs {j - 1} prior challenges")
     assign = _prefix_assignment(schedule, q.n, r_prefix)
-    t = schedule.ops[j - 1].var - 1
-    assign[t] = 0  # the abscissae below replace the round variable's value
-    kinds, tvars, prog = _suffix_program(q, schedule, field, j, assign)
+    t = schedule.tvars[j - 1]
     npts = min(schedule.degree_bounds[j - 1] + 1, field.order)
+    # The abscissae replace the round variable's value; the last one is
+    # non-Boolean whenever any is, so it makes the most evaluations.
+    assign[t] = npts - 1
+    _check_suffix(schedule, field, j, assign)
     ys = []
     for z in range(npts):
         assign[t] = z
-        ys.append(field.ops.quantified_value(kinds, tvars, j, prog, assign, field.g, field.k))
+        ys.append(field.ops.quantified_value(schedule.kinds, schedule.tvars, j, schedule.prog,
+                                             assign, field.g, field.k))
     return tuple(field.ops.interpolate(range(npts), ys, field.g, field.k))
 
 
@@ -273,8 +279,8 @@ def run_with_randomness(
     schedule: RoundSchedule | None = None,
 ) -> Transcript:
     """Drive one interaction with the given challenge string. The verifier
-    stops at the first failed check; a policy exception is recorded as a
-    rejection at the round it occurred."""
+    stops at the first failed check; a policy exception other than
+    ProtocolSizeError is recorded as a rejection at the round it occurred."""
     schedule = schedule or build_schedule(q)
     if len(r_seq) != schedule.n_rounds:
         raise ValueError(f"need {schedule.n_rounds} challenges")
@@ -284,7 +290,9 @@ def run_with_randomness(
 def _verify(q: PrenexQbf, schedule: RoundSchedule, field: Field,
             next_poly: Callable, r_seq: Sequence[int]) -> Transcript:
     """The verifier loop shared by live runs and finished transcripts;
-    ``next_poly`` has the signature of ``ProverPolicy.next_poly``."""
+    ``next_poly`` has the signature of ``ProverPolicy.next_poly``. A
+    ProtocolSizeError from the prover propagates: a cutoff says nothing
+    about the claim."""
     n_rounds = schedule.n_rounds
     assign = [0] * q.n
     v = 1
@@ -297,10 +305,11 @@ def _verify(q: PrenexQbf, schedule: RoundSchedule, field: Field,
             tuple(r_used), tuple(sent), False, j, note,
         )
 
-    for j in range(1, n_rounds + 1):
-        op = schedule.ops[j - 1]
+    for j, (kind, t) in enumerate(zip(schedule.kinds, schedule.tvars), 1):
         try:
             fj = tuple(next_poly(j, tuple(r_used), tuple(sent)))
+        except ProtocolSizeError:
+            raise
         except Exception as exc:  # prover failure is a protocol rejection
             return reject(j, f"prover error: {exc!r}")
         sent.append(fj)
@@ -308,14 +317,14 @@ def _verify(q: PrenexQbf, schedule: RoundSchedule, field: Field,
             return reject(j, "degree bound exceeded")
         f0 = field.poly_eval(fj, 0)
         f1 = field.poly_eval(fj, 1)
-        rule = _KIND_CODE[op.kind]
-        if _kernels.combine(rule, assign[op.var - 1], f0, f1, field.g, field.k) != v:
+        if _kernels.combine(kind, assign[t], f0, f1, field.g, field.k) != v:
             return reject(j)
         rj = field.check(r_seq[j - 1])
         r_used.append(rj)
-        assign[op.var - 1] = rj
+        assign[t] = rj
         v = field.poly_eval(fj, rj)
-    if v != arith_eval(q.matrix, assign, field):
+    # every entry of assign is a challenge, already checked
+    if v != field.ops.eval_formula(schedule.prog, assign, field.g, field.k):
         return reject(n_rounds, "final matrix check failed")
     return Transcript(
         q.n, n_rounds, field.k, field.g, tuple(r_used), tuple(sent), True, None
@@ -357,15 +366,8 @@ def honest_always_accepts(
     its round (``_kernels.honest_sweep``). The cutoff stays |F|^N."""
     schedule = schedule or build_schedule(q)
     sweep_size(field, schedule)
-    return field.ops.honest_sweep(
-        schedule.kind_codes(),
-        schedule.var_codes(),
-        schedule.degree_bounds,
-        compile_matrix(q.matrix),
-        q.n,
-        field.g,
-        field.k,
-    )
+    return field.ops.honest_sweep(schedule.kinds, schedule.tvars, schedule.degree_bounds,
+                                  schedule.prog, q.n, field.g, field.k)
 
 
 # ---------------------------------------------------------------------------
@@ -388,12 +390,11 @@ class SearchTables:
     For each degree cap D in the schedule, row c of ``coeffs[D]`` is the c-th
     coefficient tuple of length D + 1 in ``itertools.product`` order, and
     ``evals[D][c, r]`` is that polynomial at field element r. For each
-    round's (kind, D), ``keys[kind, D][rho, c]`` is the verifier's combine
+    round's (kind code, D), ``keys[kind, D][rho, c]`` is the verifier's combine
     value of candidate c's f(0) and f(1) when the round variable holds rho,
     read from a table filled by ``_kernels.combine``; ``groups[kind, D][rho][v]``
     lists, in product order, the candidates whose combine value is v.
-    ``prog`` is the compiled matrix. Building raises ProtocolSizeError past
-    the search cutoff.
+    Building raises ProtocolSizeError past the search cutoff.
     """
 
     def __init__(self, q: PrenexQbf, field: Field, schedule: RoundSchedule):
@@ -401,40 +402,38 @@ class SearchTables:
         dmax = max(schedule.degree_bounds)
         if order ** (dmax + 1) * order ** (q.n + 1) > MAX_SEARCH_WORK:
             raise ProtocolSizeError("candidate search space exceeds the cutoff")
-        self.prog = compile_matrix(q.matrix)
         elems = range(order)
         zs = np.arange(order)
         small = np.min_scalar_type(order - 1)  # field elements; sorts by radix
         mul = np.array([[field.ops.gf_mul(a, b, field.g, field.k) for b in elems]
                         for a in elems], dtype=small)
-        combine: dict[str, np.ndarray] = {}
+        combine: dict[int, np.ndarray] = {}
         self.coeffs: dict[int, np.ndarray] = {}
         self.evals: dict[int, np.ndarray] = {}
-        self.keys: dict[tuple[str, int], np.ndarray] = {}
-        self.groups: dict[tuple[str, int], list[list[np.ndarray]]] = {}
-        for op, bound in zip(schedule.ops, schedule.degree_bounds):
+        self.keys: dict[tuple[int, int], np.ndarray] = {}
+        self.groups: dict[tuple[int, int], list[list[np.ndarray]]] = {}
+        for kind, bound in zip(schedule.kinds, schedule.degree_bounds):
             if bound not in self.coeffs:
                 coeffs = _digit_rows(order, bound + 1).astype(small)
                 evals = np.zeros((len(coeffs), order), dtype=small)
                 for i in range(bound, -1, -1):  # Horner, all candidates at once
                     evals = mul[evals, zs] ^ coeffs[:, i, None]
                 self.coeffs[bound], self.evals[bound] = coeffs, evals
-            if op.kind not in combine:
+            if kind not in combine:
                 # Quantifier rules ignore rho: fill one slice, broadcast it.
-                rhos = elems if op.kind == "reduce" else (0,)
-                rule = _KIND_CODE[op.kind]
+                rhos = elems if kind == _kernels.K_REDUCE else (0,)
                 table = np.array([
-                    [[_kernels.combine(rule, rho, f0, f1, field.g, field.k) for f1 in elems]
+                    [[_kernels.combine(kind, rho, f0, f1, field.g, field.k) for f1 in elems]
                      for f0 in elems]
                     for rho in rhos
                 ], dtype=small)
-                combine[op.kind] = np.broadcast_to(table, (order, order, order))
-            if (op.kind, bound) not in self.keys:
+                combine[kind] = np.broadcast_to(table, (order, order, order))
+            if (kind, bound) not in self.keys:
                 evals = self.evals[bound]
-                keys = combine[op.kind][:, evals[:, 0], evals[:, 1]]
-                self.keys[op.kind, bound] = keys
+                keys = combine[kind][:, evals[:, 0], evals[:, 1]]
+                self.keys[kind, bound] = keys
                 by_key = np.argsort(keys, axis=1, kind="stable")
-                self.groups[op.kind, bound] = [
+                self.groups[kind, bound] = [
                     np.split(members, np.searchsorted(row[members], zs[1:]))
                     for row, members in zip(keys, by_key)
                 ]
@@ -488,17 +487,16 @@ def optimal_cheater(
     dtype = np.int64 if field.k * n_rounds <= 62 else object
     # round N+1: every variable is bound, only the final matrix check is left
     finals = _digit_rows(order, n)
-    matrix = [field.ops.eval_formula(tables.prog, a, field.g, field.k)
+    matrix = [field.ops.eval_formula(schedule.prog, a, field.g, field.k)
               for a in finals.tolist()]
     counts = np.zeros((order ** n, order), dtype=dtype)  # V_j[code(a), v]
     counts[finals @ weight, matrix] = 1
     choice: dict[tuple, UniPoly] = {}
     for j in range(n_rounds, 0, -1):
-        op = schedule.ops[j - 1]
-        t = op.var - 1
+        kind, t = schedule.kinds[j - 1], schedule.tvars[j - 1]
         bound = schedule.degree_bounds[j - 1]
         coeffs, evals = tables.coeffs[bound], tables.evals[bound]
-        bound_vars = {o.var - 1 for o in schedule.ops[: j - 1]}
+        bound_vars = set(schedule.tvars[: j - 1])
         rhos = range(order) if t in bound_vars else (0,)
         free = sorted(bound_vars - {t})
         bases = np.zeros((order ** len(free), n), dtype=np.int64)
@@ -516,7 +514,7 @@ def optimal_cheater(
                 states[:, t] = rho
                 codes = states @ weight
                 assigns = list(map(tuple, states.tolist()))
-                for v, members in enumerate(tables.groups[op.kind, bound][rho]):
+                for v, members in enumerate(tables.groups[kind, bound][rho]):
                     sub = score[:, members]
                     best = sub.argmax(axis=1)  # first maximum: product order
                     counts[codes, v] = sub[rows, best]
@@ -554,12 +552,11 @@ def accepting_row_messages(
         raise ValueError(f"need {schedule.n_rounds} challenges")
     assign = [0] * q.n
     rounds = []  # (combine keys, candidate values at r_j, degree cap)
-    for op, bound, r in zip(schedule.ops, schedule.degree_bounds, r_row):
-        t = op.var - 1
-        rounds.append((tables.keys[op.kind, bound][assign[t]],
+    for kind, t, bound, r in zip(schedule.kinds, schedule.tvars, schedule.degree_bounds, r_row):
+        rounds.append((tables.keys[kind, bound][assign[t]],
                        tables.evals[bound][:, field.check(r)], bound))
         assign[t] = r
-    final = field.ops.eval_formula(tables.prog, assign, field.g, field.k)
+    final = field.ops.eval_formula(schedule.prog, assign, field.g, field.k)
     wins = [np.arange(field.order) == final]
     for keys, child, _ in reversed(rounds):
         win = np.zeros(field.order, dtype=bool)

@@ -13,15 +13,17 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from qipsim._kernels import K_EXISTS, K_FORALL
 from qipsim.qbf import compile_matrix
 from qipsim.sumcheck import build_schedule
 
 
 def combine(kind, rho, f0, f1, field):
-    """The round rule, written out independently of ``qipsim._kernels``."""
-    if kind == "forall":
+    """The round rule, written out independently of ``qipsim._kernels``;
+    ``kind`` is a ``K_*`` code."""
+    if kind == K_FORALL:
         return field.mul(f0, f1)
-    if kind == "exists":
+    if kind == K_EXISTS:
         return f0 ^ f1 ^ field.mul(f0, f1)
     return field.mul(rho ^ 1, f0) ^ field.mul(rho, f1)
 
@@ -46,15 +48,14 @@ def oracle_cheater(q, field, schedule=None):
         hit = memo.get(key)
         if hit is not None:
             return hit
-        op = schedule.ops[j - 1]
-        t = op.var - 1
+        kind, t = schedule.kinds[j - 1], schedule.tvars[j - 1]
         rho = assign[t]
         best = Fraction(0)
         best_f = None
         for coeffs in itertools.product(range(order), repeat=schedule.degree_bounds[j - 1] + 1):
             f0 = coeffs[0]
             f1 = ops_mod.poly_eval(coeffs, 1, g, k)
-            if combine(op.kind, rho, f0, f1, field) != v:
+            if combine(kind, rho, f0, f1, field) != v:
                 continue
             total = Fraction(0)
             for r in range(order):
@@ -90,14 +91,13 @@ def oracle_row_messages(q, field, r_row, schedule=None):
         key = (j, assign, v)
         if key in dead:
             return None
-        op = schedule.ops[j - 1]
-        t = op.var - 1
+        kind, t = schedule.kinds[j - 1], schedule.tvars[j - 1]
         rho = assign[t]
         r = r_row[j - 1]
         for coeffs in itertools.product(range(order), repeat=schedule.degree_bounds[j - 1] + 1):
             f0 = coeffs[0]
             f1 = ops_mod.poly_eval(coeffs, 1, g, k)
-            if combine(op.kind, rho, f0, f1, field) != v:
+            if combine(kind, rho, f0, f1, field) != v:
                 continue
             child = assign[:t] + (r,) + assign[t + 1:]
             rest = go(j + 1, child, ops_mod.poly_eval(coeffs, r, g, k))

@@ -27,8 +27,8 @@ def oracle_always_accepts(q, field, schedule=None):
     schedule = schedule or build_schedule(q)
     sweep_size(field, schedule)
     return honest_sweep(
-        schedule.kind_codes(),
-        schedule.var_codes(),
+        schedule.kinds,
+        schedule.tvars,
         schedule.degree_bounds,
         compile_matrix(q.matrix),
         q.n,

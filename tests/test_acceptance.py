@@ -23,7 +23,7 @@ from qipsim.bounds import (
     uniform_fidelity,
 )
 from qipsim.gf2k import Field, poly_trim
-from qipsim._kernels import find_modulus, is_irreducible
+from qipsim._kernels import K_EXISTS, K_FORALL, find_modulus, is_irreducible
 from qipsim.qbf import arith_eval, eval_qbf, parse_qbf
 from qipsim.quantum import (
     BiasedSupportProver,
@@ -118,9 +118,9 @@ def test_criterion_02_classical_soundness():
 
 
 def _combine(kind, rho, f0, f1, field):
-    if kind == "forall":
+    if kind == K_FORALL:
         return field.mul(f0, f1)
-    if kind == "exists":
+    if kind == K_EXISTS:
         return f0 ^ f1 ^ field.mul(f0, f1)
     return field.mul(rho ^ 1, f0) ^ field.mul(rho, f1)
 
@@ -160,14 +160,14 @@ def test_criterion_03_verifier_predicate_properties():
             fld = Field(k)
             for q in FALSE_N1:
                 schedule = build_schedule(q)
-                op1 = schedule.ops[0]
+                kind1 = schedule.kinds[0]
                 d1 = schedule.degree_bounds[0]
                 c1 = correct_polynomial(q, schedule, fld, 1, ())
                 checked = 0
                 for f1 in itertools.product(fld.elements(), repeat=d1 + 1):
                     if poly_trim(f1) == poly_trim(c1):
                         continue
-                    if _combine(op1.kind, 0, f1[0],
+                    if _combine(kind1, 0, f1[0],
                                 fld.poly_eval(f1, 1), fld) != 1:
                         continue  # dies before r1 is ever drawn
                     checked += 1

@@ -80,7 +80,7 @@ def test_combine_keys_match_brute_force():
         for k in (1, 2, 3):
             field = Field(k)
             tables = SearchTables(q, field, schedule)
-            assert {kind for kind, _ in tables.keys} == {op.kind for op in schedule.ops}
+            assert {kind for kind, _ in tables.keys} == set(schedule.kinds)
             for (kind, bound), keys in tables.keys.items():
                 f01 = tables.evals[bound][:, :2].tolist()
                 want = [[combine(kind, rho, f0, f1, field) for f0, f1 in f01]

@@ -167,6 +167,24 @@ def test_byte_identical_reports(capsys):
     assert out1 == out2
 
 
+def test_honest_prover_within_cutoff_is_accepted(capsys):
+    # N = 27, but at the honest prover's points only the quantifier rounds
+    # branch: round 1 takes 2^5 formula evaluations, far below the cutoff
+    text = "A x1 E x2 A x3 E x4 A x5 E x6 : (x1 | x2) & (x3 | x4) & (x5 | x6)"
+    res = run_json(capsys, "classical", "run", "--formula", text, "--k", "32")["result"]
+    assert res["accepted"] == 1
+    assert res["per_trial"][0]["reject_round"] is None
+
+
+def test_honest_prover_past_cutoff_exits_2(capsys):
+    # 2^23 formula evaluations behind round 1's message: refused, not
+    # reported as a rejection by the verifier
+    text = " ".join(f"A x{i}" for i in range(1, 25)) + " : x1 | ~x1"
+    code, out, err = run_cli(capsys, "classical", "run", "--formula", text, "--k", "8")
+    assert code == 2 and out == ""
+    assert err == "qipsim: error: operator suffix too deep for exact evaluation\n"
+
+
 def test_bound_with_xlen(capsys):
     doc = run_json(capsys, "bound", "--xlen", "5", "--d", "3", "--N", "2")
     res = doc["result"]

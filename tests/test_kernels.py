@@ -63,15 +63,16 @@ def ref_formula(e, assign, g):
     return a ^ b ^ ref_mul(a, b, g)
 
 
-def ref_quantified(matrix, ops, assign, g):
-    """The operator list ``ops`` applied to the arithmetized matrix."""
-    if not ops:
+def ref_quantified(matrix, rounds, assign, g):
+    """The (kind, 0-based variable) rounds applied to the arithmetized
+    matrix."""
+    if not rounds:
         return ref_formula(matrix, assign, g)
-    op, t = ops[0], ops[0].var - 1
-    f0, f1 = (ref_quantified(matrix, ops[1:], assign[:t] + (b,) + assign[t + 1:], g)
+    kind, t = rounds[0]
+    f0, f1 = (ref_quantified(matrix, rounds[1:], assign[:t] + (b,) + assign[t + 1:], g)
               for b in (0, 1))
     field = SimpleNamespace(mul=lambda x, y: ref_mul(x, y, g))
-    return ref_combine(op.kind, assign[t], f0, f1, field)
+    return ref_combine(kind, assign[t], f0, f1, field)
 
 
 def _operands(rng, k, count):
@@ -125,7 +126,8 @@ def test_formula_kernels_parity():
         q = parse_qbf(text)
         sched = build_schedule(q)
         prog = compile_matrix(q.matrix)
-        kinds, tvars = sched.kind_codes(), sched.var_codes()
+        kinds, tvars = sched.kinds, sched.tvars
+        rounds = list(zip(kinds, tvars))
         for k in (2, 3, 16):
             g = find_modulus(k)
             for _ in range(20):
@@ -136,7 +138,7 @@ def test_formula_kernels_parity():
                     scratch = list(assign)
                     got = purepy.quantified_value(kinds, tvars, j, prog, scratch, g, k)
                     assert scratch == list(assign)
-                    assert got == ref_quantified(q.matrix, sched.ops[j:], assign, g)
+                    assert got == ref_quantified(q.matrix, rounds[j:], assign, g)
 
 
 @st.composite
@@ -157,13 +159,14 @@ def test_formula_kernels_parity_generated(inst):
     g = find_modulus(k)
     sched = build_schedule(q)
     prog = compile_matrix(q.matrix)
-    kinds, tvars = sched.kind_codes(), sched.var_codes()
+    kinds, tvars = sched.kinds, sched.tvars
+    rounds = list(zip(kinds, tvars))
     assert purepy.eval_formula(prog, assign, g, k) == ref_formula(q.matrix, assign, g)
     for j in range(sched.n_rounds + 1):
         scratch = list(assign)
         got = purepy.quantified_value(kinds, tvars, j, prog, scratch, g, k)
         assert scratch == list(assign)
-        assert got == ref_quantified(q.matrix, sched.ops[j:], assign, g)
+        assert got == ref_quantified(q.matrix, rounds[j:], assign, g)
 
 
 def test_active_is_the_pure_module():

@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import event, given, settings
@@ -13,10 +14,12 @@ from cheater_oracle import combine
 from strategies import formulas
 from sweep_oracle import oracle_always_accepts
 from test_acceptance import CORPUS
+from qipsim._kernels import K_EXISTS, K_FORALL, K_REDUCE, purepy
 from qipsim.gf2k import Field, poly_degree, poly_trim
-from qipsim.qbf import arith_eval, eval_qbf, parse_qbf
+from qipsim.qbf import arith_eval, compile_matrix, eval_qbf, parse_qbf
 from qipsim.sumcheck import (
     ProtocolSizeError,
+    _suffix_evaluations,
     Transcript,
     TranscriptOracle,
     accepting_row_messages,
@@ -55,7 +58,8 @@ def test_schedule_n1():
     q = parse_qbf("E x1 : x1")
     s = build_schedule(q)
     assert s.n_rounds == 2
-    assert [(op.kind, op.var) for op in s.ops] == [("exists", 1), ("reduce", 1)]
+    assert s.kinds == (K_EXISTS, K_REDUCE)
+    assert s.tvars == (0, 0)
     assert s.degree_bounds == (1, 2)
     assert s.degree_bound == 2
 
@@ -64,14 +68,20 @@ def test_schedule_n2():
     q = parse_qbf("A x1 E x2 : (x1 | ~x2) & (~x1 | x2)")
     s = build_schedule(q)
     assert s.n_rounds == 5
-    assert [(op.kind, op.var) for op in s.ops] == [
-        ("forall", 1),
-        ("reduce", 1),
-        ("exists", 2),
-        ("reduce", 1),
-        ("reduce", 2),
-    ]
+    assert s.kinds == (K_FORALL, K_REDUCE, K_EXISTS, K_REDUCE, K_REDUCE)
+    assert s.tvars == (0, 0, 1, 0, 1)
     assert s.degree_bounds == (1, 2, 1, 2, 2)
+    assert s.prog == compile_matrix(q.matrix)
+    # n=3: x1 has degree 3, so its last reduction gets cap 3
+    q = parse_qbf("E x1 A x2 E x3 : (x1 & x2 & x3) | (~x1 & x3) | x1")
+    s = build_schedule(q)
+    assert s.n_rounds == 9
+    assert s.kinds == (K_EXISTS, K_REDUCE, K_FORALL, K_REDUCE, K_REDUCE,
+                       K_EXISTS, K_REDUCE, K_REDUCE, K_REDUCE)
+    assert s.tvars == (0, 0, 1, 0, 1, 2, 0, 1, 2)
+    assert s.degree_bounds == (1, 2, 1, 2, 2, 1, 3, 2, 2)
+    assert s.degree_bound == 3
+    assert s.prog == compile_matrix(q.matrix)
 
 
 def test_schedule_lengths():
@@ -111,10 +121,46 @@ def test_partial_value_validation():
         partial_value(q, s, f, 3, [0])
     with pytest.raises(ValueError):
         partial_value(q, s, f, 0, [])
-    # n=6 gives N=27 rounds: 2^27 leaves at j=0, past MAX_PARTIAL_LEAVES
-    q6 = parse_qbf("A x1 A x2 A x3 A x4 A x5 A x6 : x1")
+    # at the all-zero point only the 23 quantifier rounds branch: 2^23
+    # formula evaluations at j=0, past MAX_PARTIAL_LEAVES
+    q23 = parse_qbf(" ".join(f"A x{i}" for i in range(1, 24)) + " : x1")
     with pytest.raises(ProtocolSizeError):
-        partial_value(q6, build_schedule(q6), f, 0, [0] * 6)
+        partial_value(q23, build_schedule(q23), f, 0, [0] * 23)
+
+
+def _kernel_evaluations(q, schedule, field, j, assign):
+    with mock.patch.object(purepy, "eval_formula", wraps=purepy.eval_formula) as ev:
+        partial_value(q, schedule, field, j, assign)
+    return ev.call_count
+
+
+@st.composite
+def _suffix_points(draw):
+    """A generated formula, a field, a round index j and an assignment whose
+    entries are each independently Boolean or a random field element."""
+    q = draw(formulas(max_n=3))
+    field = Field(draw(st.sampled_from((1, 2, 3, 32))))
+    elem = st.one_of(st.sampled_from((0, 1)), st.integers(0, field.order - 1))
+    schedule = build_schedule(q)
+    j = draw(st.integers(0, schedule.n_rounds))
+    return q, schedule, field, j, [draw(elem) for _ in range(q.n)]
+
+
+@given(_suffix_points())
+def test_suffix_guard_counts_kernel_evaluations(inst):
+    # the partial-value guard counts the formula evaluations the kernel
+    # makes, and correct_polynomial's count at its last abscissa is the
+    # largest over all of its abscissae
+    q, schedule, field, j, assign = inst
+    assert _suffix_evaluations(schedule, j, assign) == _kernel_evaluations(
+        q, schedule, field, j, assign)
+    if j:
+        t = schedule.tvars[j - 1]
+        npts = min(schedule.degree_bounds[j - 1] + 1, field.order)
+        counts = [_kernel_evaluations(q, schedule, field, j, assign[:t] + [z] + assign[t + 1:])
+                  for z in range(npts)]
+        worst = assign[:t] + [npts - 1] + assign[t + 1:]
+        assert max(counts) == _suffix_evaluations(schedule, j, worst)
 
 
 def test_correct_polynomial_linear_example():
@@ -134,9 +180,9 @@ def test_round_consistency_identity_exhaustive():
     # combining the honest round-j message reproduces the previous round's
     # value, and evaluating it at r_j gives the next partial value
     combine = {
-        "forall": lambda f0, f1, rho, fld: fld.mul(f0, f1),
-        "exists": lambda f0, f1, rho, fld: f0 ^ f1 ^ fld.mul(f0, f1),
-        "reduce": lambda f0, f1, rho, fld: fld.mul(rho ^ 1, f0) ^ fld.mul(rho, f1),
+        K_FORALL: lambda f0, f1, rho, fld: fld.mul(f0, f1),
+        K_EXISTS: lambda f0, f1, rho, fld: f0 ^ f1 ^ fld.mul(f0, f1),
+        K_REDUCE: lambda f0, f1, rho, fld: fld.mul(rho ^ 1, f0) ^ fld.mul(rho, f1),
     }
     fld = Field(2)
     for text in TRUE_SMALL + FALSE_SMALL:
@@ -148,13 +194,12 @@ def test_round_consistency_identity_exhaustive():
             assign = [0] * q.n
             prev = partial_value(q, s, fld, 0, assign)
             for j in range(1, s.n_rounds + 1):
-                op = s.ops[j - 1]
+                kind, t = s.kinds[j - 1], s.tvars[j - 1]
                 c = correct_polynomial(q, s, fld, j, r[: j - 1])
                 f0 = fld.poly_eval(c, 0)
                 f1 = fld.poly_eval(c, 1)
-                rho = assign[op.var - 1]
-                assert combine[op.kind](f0, f1, rho, fld) == prev
-                assign[op.var - 1] = r[j - 1]
+                assert combine[kind](f0, f1, assign[t], fld) == prev
+                assign[t] = r[j - 1]
                 prev = fld.poly_eval(c, r[j - 1])
                 assert prev == partial_value(q, s, fld, j, assign)
 
@@ -174,8 +219,8 @@ def test_honest_degrees_within_bounds():
             npts = min(dj + 2, fld.order)
             assign = [0] * q.n
             for jj in range(1, j):
-                assign[s.ops[jj - 1].var - 1] = prefix[jj - 1]
-            t = s.ops[j - 1].var - 1
+                assign[s.tvars[jj - 1]] = prefix[jj - 1]
+            t = s.tvars[j - 1]
             pts = []
             for z in range(npts):
                 assign[t] = z
@@ -321,13 +366,14 @@ def reference_verdict(q, schedule, field, r, f):
     from the protocol's definition with the test copy of the round rule."""
     assign = [0] * q.n
     v = 1
-    for j, (op, bound, fj) in enumerate(zip(schedule.ops, schedule.degree_bounds, f), 1):
+    rounds = zip(schedule.kinds, schedule.tvars, schedule.degree_bounds, f)
+    for j, (kind, t, bound, fj) in enumerate(rounds, 1):
         if poly_degree(fj) > bound:
             return j, "degree bound exceeded", j, j - 1
         f0, f1 = field.poly_eval(fj, 0), field.poly_eval(fj, 1)
-        if combine(op.kind, assign[op.var - 1], f0, f1, field) != v:
+        if combine(kind, assign[t], f0, f1, field) != v:
             return j, None, j, j - 1
-        assign[op.var - 1] = r[j - 1]
+        assign[t] = r[j - 1]
         v = field.poly_eval(fj, r[j - 1])
     n_rounds = schedule.n_rounds
     if v != arith_eval(q.matrix, assign, field):
@@ -348,7 +394,7 @@ def message_vectors(draw):
     field = Field(draw(st.sampled_from((1, 2))))
     schedule = build_schedule(q)
     elems = st.integers(0, field.order - 1)
-    r = tuple(draw(elems) for _ in schedule.ops)
+    r = tuple(draw(elems) for _ in range(schedule.n_rounds))
     f = list(accepting_row_messages(q, field, r, schedule) or TranscriptOracle(
         q, field, schedule).correct_row(r))
     j = draw(st.integers(0, schedule.n_rounds))  # 0: no change
