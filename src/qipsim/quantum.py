@@ -30,17 +30,18 @@ message columns and the verifier's R-into-S clears S: each filtered branch
 becomes (R, its kept message columns, zeros), a bijection that keeps the
 amplitudes and the registers step 4 groups by. Step 4 and the events are
 therefore read directly off the step-1-filtered state, which stores only R
-and F. A dense state-vector oracle, with explicit Hadamard gates and the
-explicit round-2 permutation, cross-checks this closed form at small sizes;
-its vector is real, since Hadamard gates and real weights keep every
+and F. A dense state-vector oracle cross-checks this closed form at small
+sizes: it injects the round-1 state, then applies the round-2 uncompute as
+an explicit basis permutation and the step-4 test as explicit Hadamard
+gates. Its vector is real, since Hadamard gates and real weights keep every
 amplitude real.
 
 A row prover answers each row from that row's challenges alone, so the
 state is a product over rows and every result factors by row;
 ``QuantumProtocol.run`` then simulates one row, at every m, and multiplies
 out. Every other prover is simulated on all m rows. Either way the run's u
-vectors are drawn first, and an exhaustive run past ``MAX_BRANCHES`` of
-them is refused before any simulation.
+vectors are drawn first, and a run past ``MAX_BRANCHES`` of them,
+exhaustive or sampled, is refused before any simulation.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ from .sumcheck import (
     accepting_row_messages,
     build_schedule,
     correct_polynomial,
+    transcript_valid,
 )
 
 MAX_BRANCHES = 1 << 16
@@ -421,7 +423,8 @@ class QuantumProtocol:
     # -- step 1 ------------------------------------------------------------
 
     def _branch_valid(self, b: BasisState) -> bool:
-        return all(self.oracle.valid(b.r[i], b.f[i]) for i in range(self.copies))
+        return all(transcript_valid(self.q, self.schedule, self.field, b.r[i], b.f[i])
+                   for i in range(self.copies))
 
     def step1_filter(self, state: SparseState) -> tuple[Fraction, SparseState]:
         """Project onto branches whose every row is a valid transcript.
@@ -532,8 +535,9 @@ class QuantumProtocol:
         )
 
     def _draw_us(self, u_mode: str, samples: int, seed: int) -> list[tuple[int, ...]]:
-        """The run's u vectors: all N^m in exhaustive mode, refused past
-        ``MAX_BRANCHES``, or ``samples`` seeded uniform draws."""
+        """The run's u vectors: all N^m in exhaustive mode, or ``samples``
+        seeded uniform draws; either is refused past ``MAX_BRANCHES``, since
+        the report lists every u."""
         n_rounds = self.layout.n_rounds
         if u_mode == "exhaustive":
             if _power_exceeds(n_rounds, self.copies, MAX_BRANCHES):
@@ -546,6 +550,10 @@ class QuantumProtocol:
             raise ValueError("u_mode must be 'exhaustive' or 'sample'")
         if samples < 1:
             raise ValueError("sample mode needs samples >= 1")
+        if samples > MAX_BRANCHES:
+            raise ProtocolSizeError(
+                f"{samples} sampled u vectors exceed the sparse cutoff {MAX_BRANCHES}"
+            )
         rng = random.Random(seed)
         return [
             tuple(rng.randrange(1, n_rounds + 1) for _ in range(self.copies))
@@ -564,14 +572,14 @@ class QuantumProtocol:
         A row prover (``RowProver``, ``HonestProver``, ``full_lookahead``)
         is simulated on one row of |F|^N branches, at every m; any other
         prover on all m rows, |F|^(mN) branches. ``MAX_BRANCHES`` caps the
-        simulated branches and, in exhaustive mode, the N^m u vectors, which
-        are drawn before any simulation. The m rows are blocks of the
-        simulated width (1 or m), and the round-1 state is a product over
-        blocks on which step 1 and the step-4 groups act block by block: the
-        step-1 pass is p^blocks, accept(u) is the product of the simulated
-        a(v) over u's blocks v, each row's events repeat per block, and over
-        every u the mean is the simulated mean to the power blocks, so
-        exhaustive mode never sums the N^m products."""
+        simulated branches and the u vectors (N^m in exhaustive mode, the
+        sample count otherwise), which are drawn before any simulation. The
+        m rows are blocks of the simulated width (1 or m), and the round-1
+        state is a product over blocks on which step 1 and the step-4 groups
+        act block by block: the step-1 pass is p^blocks, accept(u) is the
+        product of the simulated a(v) over u's blocks v, each row's events
+        repeat per block, and over every u the mean is the simulated mean to
+        the power blocks, so exhaustive mode never sums the N^m products."""
         us = self._draw_us(u_mode, samples, seed)
         sim = QuantumProtocol(self.q, self.field, 1) if isinstance(spec, RowProver) else self
         width, blocks = sim.copies, self.copies // sim.copies
@@ -640,9 +648,10 @@ def run_quantum(
 
 
 # ---------------------------------------------------------------------------
-# Dense state-vector oracle. Same protocol on the full 2^total_qubits vector
-# with explicit Hadamard gates and basis-permutation gates; floating point,
-# used to cross-check the sparse closed form.
+# Dense state-vector oracle. Same protocol on the full 2^total_qubits vector:
+# the round-1 state is written in directly, round 2 is an explicit basis
+# permutation and step 4 explicit Hadamard gates; floating point, used to
+# cross-check the sparse closed form.
 
 
 def apply_hadamard(sv: np.ndarray, qubit: int) -> np.ndarray:
@@ -730,42 +739,25 @@ def dense_oracle(
     codec = _DenseCodec(lay)
     sv = np.zeros(1 << lay.total_qubits, dtype=np.float64)
 
-    zero_f = tuple(
-        tuple((0,) * (lay.degree_bound + 1) for _ in range(lay.n_rounds))
-        for _ in range(lay.copies)
-    )
-    zero_s = tuple((0,) * lay.n_rounds for _ in range(lay.copies))
-
-    # Round-1 preparation. Uniform families: Hadamard every R qubit, then a
-    # permutation writes F(R) and copies R into S. Biased support: direct
-    # state injection on the chosen branches.
+    # Round 1: inject each branch's amplitude at |R, F(R), S = R>. A uniform
+    # prover's R runs over every value of the R registers, the lowest qubits.
     if isinstance(spec, BiasedSupportProver):
         proto._check_support(spec)
-        n = len(spec.support)
-        for pos, R in enumerate(spec.support):
-            amp = float(spec.weights[pos]) if spec.weights is not None else 1.0 / np.sqrt(n)
-            F = proto.padded_f_matrix(spec, R)
-            sv[codec.encode(R, F, R)] = amp
+        amps = (map(float, spec.weights) if spec.weights is not None
+                else itertools.repeat(1.0 / np.sqrt(len(spec.support))))
+        branches = zip(spec.support, amps)
     else:
-        sv[0] = 1.0
-        for i in range(1, lay.copies + 1):
-            for j in range(1, lay.n_rounds + 1):
-                base = lay.r_offset(i, j)
-                for b in range(k):
-                    apply_hadamard(sv, base + b)
-
-        def write_messages(idx: int) -> int:
-            R, F, S = codec.decode(idx)
-            if F != zero_f or S != zero_s:
-                raise AssertionError("preparation support must have F = S = 0")
-            return codec.encode(R, proto.padded_f_matrix(spec, R), R)
-
-        _permute_support(sv, write_messages)
+        r_states = 1 << (lay.copies * lay.n_rounds * k)
+        amp = 1.0 / np.sqrt(r_states)
+        branches = ((codec.decode(idx)[0], amp) for idx in range(r_states))
+    for R, amp in branches:
+        sv[codec.encode(R, proto.padded_f_matrix(spec, R), R)] = amp
 
     # Step 1: project onto branches whose rows are all valid transcripts.
     for idx in np.nonzero(sv)[0]:
         R, F, _ = codec.decode(int(idx))
-        if not all(proto.oracle.valid(R[i], F[i]) for i in range(lay.copies)):
+        if not all(transcript_valid(q, proto.schedule, proto.field, R[i], F[i])
+                   for i in range(lay.copies)):
             sv[idx] = 0.0
 
     # Rounds 2-3: prover uncomputes the returned message columns from S,

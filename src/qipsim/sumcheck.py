@@ -279,8 +279,9 @@ def run_with_randomness(
     schedule: RoundSchedule | None = None,
 ) -> Transcript:
     """Drive one interaction with the given challenge string. The verifier
-    stops at the first failed check; a policy exception other than
-    ProtocolSizeError is recorded as a rejection at the round it occurred."""
+    stops at the first failed check, a message coefficient outside the field
+    included; a policy exception other than ProtocolSizeError is recorded as
+    a rejection at the round it occurred."""
     schedule = schedule or build_schedule(q)
     if len(r_seq) != schedule.n_rounds:
         raise ValueError(f"need {schedule.n_rounds} challenges")
@@ -315,6 +316,8 @@ def _verify(q: PrenexQbf, schedule: RoundSchedule, field: Field,
         sent.append(fj)
         if poly_degree(fj) > schedule.degree_bounds[j - 1]:
             return reject(j, "degree bound exceeded")
+        if not all(0 <= c < field.order for c in fj):
+            return reject(j, "message not over the field")
         f0 = field.poly_eval(fj, 0)
         f1 = field.poly_eval(fj, 1)
         if _kernels.combine(kind, assign[t], f0, f1, field.g, field.k) != v:
@@ -575,33 +578,30 @@ def accepting_row_messages(
 
 
 # ---------------------------------------------------------------------------
-# Cached per-row honest answers (shared by the quantum verifier).
+# Cached honest messages (shared by the quantum provers).
 
 
 class TranscriptOracle:
-    """Memoized honest messages and verifier verdicts per challenge row."""
+    """Memoized honest messages. Round j's message depends only on the
+    challenges r_1..r_{j-1}, so ``_rows`` holds one message per challenge
+    prefix, and rows that share a prefix share its messages."""
 
     def __init__(self, q: PrenexQbf, field: Field, schedule: RoundSchedule | None = None):
         self.q = q
         self.field = field
         self.schedule = schedule or build_schedule(q)
-        self._rows: dict[tuple[int, ...], tuple[UniPoly, ...]] = {}
-        self._verdicts: dict[tuple, bool] = {}
+        self._rows: dict[tuple[int, ...], UniPoly] = {}
 
     def correct_row(self, r_row: tuple[int, ...]) -> tuple[UniPoly, ...]:
-        out = self._rows.get(r_row)
-        if out is None:
-            out = tuple(
-                correct_polynomial(self.q, self.schedule, self.field, j, r_row[: j - 1])
-                for j in range(1, self.schedule.n_rounds + 1)
-            )
-            self._rows[r_row] = out
-        return out
-
-    def valid(self, r_row: tuple[int, ...], f_row: tuple[UniPoly, ...]) -> bool:
-        key = (r_row, f_row)
-        out = self._verdicts.get(key)
-        if out is None:
-            out = transcript_valid(self.q, self.schedule, self.field, r_row, f_row)
-            self._verdicts[key] = out
-        return out
+        n_rounds = self.schedule.n_rounds
+        if len(r_row) != n_rounds:
+            raise ValueError(f"need {n_rounds} challenges")
+        out = []
+        for j in range(1, n_rounds + 1):
+            prefix = r_row[: j - 1]
+            poly = self._rows.get(prefix)
+            if poly is None:
+                poly = correct_polynomial(self.q, self.schedule, self.field, j, prefix)
+                self._rows[prefix] = poly
+            out.append(poly)
+        return tuple(out)

@@ -82,6 +82,9 @@ def invocations() -> list[list[str]]:
         "--prover", "lookahead:full", "--dense-check")
     add("quantum", "run", "--formula", "A x1 : x1", "--k", "4", "--m", "3",
         "--prover", "lookahead:full")
+    # README's first example.
+    add("classical", "run", "--formula", "A x1 E x2 : (x1 | ~x2) & (~x1 | x2)", "--k", "4",
+        "--trials", "100")
 
     for d in ("2", "3"):
         for xlen in ("1", "5", "40"):
@@ -106,6 +109,8 @@ def invocations() -> list[list[str]]:
     add("quantum", "run", "--formula", "E x1 : x1", "--k", "1", "--m", "17",
         "--prover", "biased:single")
     add("quantum", "run", "--formula", "E x1 : x1", "--k", "1", "--m", "7000")
+    add("quantum", "run", "--formula", "E x1 : x1", "--k", "1", "--m", "1",
+        "--u", "sample", "--samples", "65537")
     add("quantum", "run", "--formula", "A x1 A x2 : x1 & x2", "--k", "4", "--m", "1",
         "--dense-check")
     add("quantum", "run", "--formula", "A x1 : x1", "--k", "2", "--m", "0")

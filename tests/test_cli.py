@@ -9,6 +9,7 @@ import pytest
 
 import golden_cli
 from qipsim.cli import main
+from qipsim.quantum import QuantumProtocol
 
 
 def run_cli(capsys, *argv):
@@ -145,6 +146,19 @@ def test_quantum_run_sample_mode_deterministic(capsys):
     b = run_json(capsys, *argv)
     assert a == b
     assert len(a["result"]["per_u"]) == 6
+
+
+def test_quantum_run_sample_count_capped(capsys, monkeypatch):
+    def no_round1(self, spec):
+        raise AssertionError("round 1 ran past the sample cap")
+
+    monkeypatch.setattr(QuantumProtocol, "prepare_round1", no_round1)
+    code, out, err = run_cli(
+        capsys, "quantum", "run", "--formula", "E x1 : x1", "--k", "1", "--m", "1",
+        "--u", "sample", "--samples", "65537",
+    )
+    assert code == 2 and out == ""
+    assert err == "qipsim: error: 65537 sampled u vectors exceed the sparse cutoff 65536\n"
 
 
 def test_quantum_run_rows_past_joint_cap(capsys):

@@ -8,7 +8,7 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from strategies import formulas
-from qipsim import quantum
+from qipsim import quantum, sumcheck
 from qipsim.gf2k import Field
 from qipsim.qbf import parse_qbf
 from qipsim.quantum import (
@@ -255,6 +255,22 @@ def test_run_refuses_bad_u_options_before_round1(monkeypatch):
             proto.run(HonestProver(), u_mode="diagonal")
         with pytest.raises(ValueError):
             proto.run(HonestProver(), u_mode="sample", samples=0)
+        # the report lists every sampled u, so the count shares the u cap
+        with pytest.raises(ProtocolSizeError,
+                           match=r"^65537 sampled u vectors exceed the sparse cutoff 65536$"):
+            proto.run(HonestProver(), u_mode="sample", samples=quantum.MAX_BRANCHES + 1)
+
+
+def test_honest_messages_memoized_by_prefix(monkeypatch):
+    # round j's honest message depends on r_1..r_{j-1} only: one call per
+    # challenge prefix, 1 + 4 + ... + 4^4, in place of 5 per row of 4^5
+    calls = []
+    real = sumcheck.correct_polynomial
+    monkeypatch.setattr(sumcheck, "correct_polynomial",
+                        lambda *args: calls.append(args) or real(*args))
+    proto = QuantumProtocol(parse_qbf("A x1 E x2 : (x1 | ~x2) & (~x1 | x2)"), Field(2), 1)
+    assert proto.prepare_round1(HonestProver()).n_branches == 4 ** 5
+    assert len(calls) == 341
 
 
 # Joint-engine work of one generated example, branches times u vectors; the

@@ -331,6 +331,19 @@ def test_run_with_randomness_notes():
     assert not tr.accepted and tr.reject_round == 1
 
 
+@pytest.mark.parametrize("msg", [(4,), (-1, 0)])
+def test_message_outside_field_rejected(msg):
+    # no k-bit register holds such a coefficient: a rejection, not an error
+    q = parse_qbf("E x1 : x1")
+    f = Field(2)
+    s = build_schedule(q)
+    tr = run_with_randomness(q, f, Replay([msg, (0, 1)]), [0, 0])
+    assert (tr.accepted, tr.reject_round, tr.note) == (False, 1, "message not over the field")
+    assert check_transcript(q, s, f, (0, 0), (msg, (0, 1))) == 1
+    honest = TranscriptOracle(q, f).correct_row((0, 0))
+    assert check_transcript(q, s, f, (0, 0), (honest[0], msg)) == 2
+
+
 def test_check_transcript_rounds():
     f = Field(2)
     q = parse_qbf("A x1 : x1")
@@ -370,6 +383,8 @@ def reference_verdict(q, schedule, field, r, f):
     for j, (kind, t, bound, fj) in enumerate(rounds, 1):
         if poly_degree(fj) > bound:
             return j, "degree bound exceeded", j, j - 1
+        if any(c not in field.elements() for c in fj):
+            return j, "message not over the field", j, j - 1
         f0, f1 = field.poly_eval(fj, 0), field.poly_eval(fj, 1)
         if combine(kind, assign[t], f0, f1, field) != v:
             return j, None, j, j - 1
@@ -388,8 +403,8 @@ def message_vectors(draw):
     honest row when none exists) and may change one round: either adding
     c(z + z^2), which keeps f(0) and f(1) but moves the carried claim or
     breaks a degree-1 cap, or sending a random tuple up to one degree past
-    the cap. Runs end at every round, at the final matrix check, or in
-    acceptance."""
+    the cap, one of whose coefficients may lie outside the field. Runs end
+    at every round, at the final matrix check, or in acceptance."""
     q = draw(formulas())
     field = Field(draw(st.sampled_from((1, 2))))
     schedule = build_schedule(q)
@@ -405,7 +420,11 @@ def message_vectors(draw):
             a = f[j - 1] + (0,) * 3
             f[j - 1] = (a[0], a[1] ^ c, a[2] ^ c) + a[3:]
         else:
-            f[j - 1] = tuple(draw(st.lists(elems, min_size=1, max_size=bound + 2)))
+            fj = draw(st.lists(elems, min_size=1, max_size=bound + 2))
+            if draw(st.booleans()):
+                outside = st.integers(-2, -1) | st.integers(field.order, field.order + 2)
+                fj[draw(st.integers(0, len(fj) - 1))] = draw(outside)
+            f[j - 1] = tuple(fj)
     return q, field, schedule, r, tuple(f)
 
 
@@ -531,14 +550,13 @@ def test_accepting_row_messages():
     q = parse_qbf("A x1 : x1")
     f = Field(2)
     s = build_schedule(q)
-    oracle = TranscriptOracle(q, f)
     assert accepting_row_messages(q, f, (0, 0), s) is None
     winnable = 0
     for row in itertools.product(f.elements(), repeat=2):
         msgs = accepting_row_messages(q, f, row, s)
         if msgs is not None:
             winnable += 1
-            assert oracle.valid(row, tuple(tuple(m) for m in msgs))
+            assert transcript_valid(q, s, f, row, msgs)
     assert winnable == 15
 
 
