@@ -66,13 +66,25 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _positive_int(text: str) -> int:
+def _int_arg(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    value = _int_arg(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, not {value}")
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    # random.Random seeds an int by its absolute value, so -s would replay s
+    value = _int_arg(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, not {value}")
     return value
 
 
@@ -343,7 +355,7 @@ def build_parser() -> _Parser:
     crun.add_argument("--k", type=int, required=True, help="field bits")
     crun.add_argument("--prover", choices=("honest", "optimal"), default="honest")
     crun.add_argument("--trials", type=_positive_int, default=1)
-    crun.add_argument("--seed", type=int, default=0)
+    crun.add_argument("--seed", type=_nonnegative_int, default=0)
     _add_output_args(crun)
     crun.set_defaults(func=cmd_classical_run, label="classical run")
 
@@ -370,7 +382,7 @@ def build_parser() -> _Parser:
     qrun.add_argument("--u", choices=("exhaustive", "sample"), default="exhaustive")
     qrun.add_argument("--samples", type=_positive_int, default=64,
                       help="u draws in sample mode")
-    qrun.add_argument("--seed", type=int, default=0)
+    qrun.add_argument("--seed", type=_nonnegative_int, default=0)
     qrun.add_argument("--dense-check", action="store_true",
                       help="cross-check against the dense state-vector oracle")
     _add_output_args(qrun)

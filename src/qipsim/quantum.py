@@ -42,6 +42,10 @@ state is a product over rows and every result factors by row;
 out. Every other prover is simulated on all m rows. Either way the run's u
 vectors are drawn first, and a run past ``MAX_BRANCHES`` of them,
 exhaustive or sampled, is refused before any simulation.
+
+The sparse engine is exact integer and rational arithmetic. numpy is
+imported only inside the dense oracle, and by the lookahead prover's row
+search in ``sumcheck``.
 """
 
 from __future__ import annotations
@@ -53,9 +57,7 @@ import random
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .bounds import BoundParams, soundness_bound
 from .gf2k import Field, UniPoly
@@ -70,6 +72,9 @@ from .sumcheck import (
     correct_polynomial,
     transcript_valid,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_BRANCHES = 1 << 16
 MAX_DENSE_QUBITS = 26
@@ -656,6 +661,8 @@ def run_quantum(
 
 def apply_hadamard(sv: np.ndarray, qubit: int) -> np.ndarray:
     """Apply a Hadamard gate to one qubit of a flat state vector in place."""
+    import numpy as np
+
     block = 1 << qubit
     v = sv.reshape(-1, 2, block)
     lo = v[:, 0, :].copy()
@@ -714,6 +721,8 @@ class _DenseCodec:
 def _permute_support(sv: np.ndarray, mapping: Callable[[int], int]) -> None:
     """Apply a basis-state permutation to the nonzero support of sv in place:
     zero the old support, then write each amplitude at its image."""
+    import numpy as np
+
     idxs = np.nonzero(sv)[0]
     amps = sv[idxs]
     sv[idxs] = 0.0
@@ -729,6 +738,8 @@ def dense_oracle(
 ) -> float:
     """Joint probability that step 1 passes and step 4 accepts for one u,
     computed on the full state vector. Cross-check for the sparse path."""
+    import numpy as np
+
     proto = QuantumProtocol(q, Field(k), m)
     lay = proto.layout
     u = lay.check_u(u)

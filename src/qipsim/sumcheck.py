@@ -27,6 +27,10 @@ The initial claim is 1: with {0,1}-exact arithmetization the full operator
 chain evaluates to the formula's truth value, so an honest run on a true
 formula never trips a check, and on a false formula the very first message
 already contradicts the claim.
+
+Only the optimal cheater and the full-lookahead search build numpy tables,
+so numpy is imported inside those functions: the verifier, the honest
+prover and the sweep run without loading it.
 """
 
 from __future__ import annotations
@@ -35,13 +39,14 @@ import random
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Protocol
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Protocol
 
 from . import _kernels
 from .gf2k import Field, UniPoly, poly_degree
 from .qbf import PrenexQbf, compile_matrix, degree_profile
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_PARTIAL_LEAVES = 1 << 22
 MAX_SWEEP_DRAWS = 1 << 22
@@ -383,6 +388,8 @@ _SCORE_BLOCK = 1 << 20
 def _digit_rows(order: int, width: int) -> np.ndarray:
     """Every width-tuple over range(order), one row each, in
     ``itertools.product`` order (the last position varies fastest)."""
+    import numpy as np
+
     powers = order ** np.arange(width - 1, -1, -1, dtype=np.int64)
     return np.arange(order ** width, dtype=np.int64)[:, None] // powers % order
 
@@ -401,6 +408,8 @@ class SearchTables:
     """
 
     def __init__(self, q: PrenexQbf, field: Field, schedule: RoundSchedule):
+        import numpy as np
+
         order = field.order
         dmax = max(schedule.degree_bounds)
         if order ** (dmax + 1) * order ** (q.n + 1) > MAX_SEARCH_WORK:
@@ -482,6 +491,8 @@ def optimal_cheater(
     assignment reachable at round j (variables not yet bound are 0) is solved
     for every claim, so ``policy.choice`` covers all of those states. Counts
     are int64 when k*N <= 62 and Python ints otherwise."""
+    import numpy as np
+
     schedule = schedule or build_schedule(q)
     tables = SearchTables(q, field, schedule)
     order, n, n_rounds = field.order, q.n, schedule.n_rounds
@@ -548,6 +559,8 @@ def accepting_row_messages(
     search in product order finds. Pass ``tables`` built once for
     (q, field, schedule) when scanning many rows; the search cutoff is
     checked when the tables are built."""
+    import numpy as np
+
     schedule = schedule or build_schedule(q)
     if tables is None:
         tables = SearchTables(q, field, schedule)

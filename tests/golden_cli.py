@@ -126,6 +126,10 @@ def invocations() -> list[list[str]]:
         "--prover", "optimal")
     add("classical", "exhaustive", "--formula", "A x1 : x1", "--k", "16", "--format", "csv")
     add("classical", "run", "--formula", "A x1 : x1", "--k", "2", "--trials", "0")
+    # random.Random(-s) draws what random.Random(s) draws: negative seeds are refused.
+    add("classical", "run", "--formula", "A x1 : x1", "--k", "2", "--seed", "-1")
+    add("quantum", "run", "--formula", "A x1 : x1", "--k", "3", "--m", "2",
+        "--u", "sample", "--samples", "4", "--seed", "-3")
     add("classical", "run", "--formula", "E x1 : x1")
     add("classical", "run", "--formula", "A x1 : " + "~" * 1200 + "x1", "--k", "2")
     for text in ("E x1 : x2", "x1 : x1", "A x1 : (x1", "A x1 : x1 E x2", "A x2 : x2",

@@ -4,10 +4,12 @@ import itertools
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import golden_cli
+import qipsim
 from qipsim.cli import main
 from qipsim.quantum import QuantumProtocol
 
@@ -403,14 +405,94 @@ def test_module_entry_point():
     assert doc["result"]["modulus"] == 11
 
 
-def test_import_does_not_load_mpmath():
+@pytest.mark.parametrize("module", ["mpmath", "numpy"])
+def test_import_does_not_load(module):
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, qipsim, qipsim.cli; print('mpmath' in sys.modules)"],
+         f"import sys, qipsim, qipsim.cli; print({module!r} in sys.modules)"],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+# Runs argv lists through ``golden_cli.record`` in a fresh interpreter that
+# imports this qipsim; with ``block`` set, any numpy import raises ImportError.
+_FRESH_RECORD = """
+import json, sys
+if {block}:
+    sys.modules["numpy"] = None
+sys.path[:0] = {paths!r}
+import qipsim, qipsim.cli, golden_cli
+for argv in json.loads(sys.argv[1]):
+    before = sys.modules.get("numpy") is not None
+    try:
+        rec = golden_cli.record(argv)
+    except ImportError:
+        rec = {{"argv": argv, "raised": "ImportError"}}
+    rec["numpy_before"] = before
+    print(json.dumps(rec))
+"""
+
+
+def _fresh_records(argvs, block):
+    paths = [str(Path(qipsim.__file__).parents[1]), str(Path(golden_cli.__file__).parent)]
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_RECORD.format(block=block, paths=paths),
+         json.dumps(argvs)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
+def _golden(argv):
+    (entry,) = [e for e in golden_cli.load() if e["argv"] == list(argv)]
+    return entry
+
+
+_XNOR2 = "A x1 E x2 : (x1 | ~x2) & (~x1 | x2)"
+
+NUMPY_FREE = [
+    ("bound", "--xlen", "5", "--d", "3", "--N", "2"),
+    ("field", "table", "--k", "3"),
+    ("classical", "run", "--formula", _XNOR2, "--k", "4", "--trials", "100"),  # README's
+    ("classical", "run", "--formula", "E x1 : x1", "--k", "64", "--trials", "2", "--seed", "7"),
+    ("classical", "exhaustive", "--formula", _XNOR2, "--k", "2", "--prover", "honest"),
+    ("quantum", "run", "--formula", _XNOR2, "--k", "2", "--m", "2", "--prover", "honest"),
+    ("quantum", "run", "--formula", _XNOR2, "--k", "2", "--m", "2", "--prover", "honest",
+     "--u", "sample", "--samples", "5", "--seed", "4"),
+    ("quantum", "run", "--formula", "E x1 A x2 : x1 & x2", "--k", "2", "--m", "2",
+     "--prover", "biased:single"),
+]
+
+
+def test_numpy_free_paths_run_without_numpy():
+    """The commands that build no DP table and no dense vector print their
+    golden output in a process where numpy cannot be imported; the optimal
+    cheater, run in that same process, shows that the block holds."""
+    control = ("classical", "exhaustive", "--formula", "A x1 : x1", "--k", "2",
+               "--prover", "optimal")
+    *records, blocked = _fresh_records([list(a) for a in NUMPY_FREE + [control]], block=True)
+    for argv, rec in zip(NUMPY_FREE, records):
+        assert rec.pop("numpy_before") is False
+        assert rec == _golden(argv), argv
+    assert blocked == {"argv": list(control), "raised": "ImportError", "numpy_before": False}
+
+
+@pytest.mark.parametrize("argv", [
+    ("classical", "exhaustive", "--formula", "A x1 : x1", "--k", "2", "--prover", "optimal"),
+    ("classical", "exhaustive", "--formula", "A x1 : x1", "--k", "2",
+     "--prover", "lookahead:full"),
+    ("quantum", "run", "--formula", "A x1 : x1", "--k", "2", "--m", "1",
+     "--prover", "lookahead:full", "--dense-check"),
+], ids=["optimal", "lookahead", "dense"])
+def test_numpy_imported_on_first_use(argv):
+    """Each of these is a fresh process's first numpy use; the in-process
+    corpus cannot show that, because earlier tests have loaded numpy."""
+    (rec,) = _fresh_records([list(argv)], block=False)
+    assert rec.pop("numpy_before") is False
+    assert rec == _golden(argv)
 
 
 def test_golden_cli_corpus():
