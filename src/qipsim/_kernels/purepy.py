@@ -133,6 +133,8 @@ def _table(g: int, k: int) -> list[list[int]]:
 
 
 def gf_mul(a: int, b: int, g: int, k: int) -> int:
+    if a <= 1 or b <= 1:  # 0 and 1 multiply as integers
+        return a * b
     if k <= _TABLE_MAX_K:
         return _table(g, k)[a][b]
     return _mulmod(a, b, g, k)
@@ -202,10 +204,9 @@ def _lagrange_basis(xs: tuple[int, ...], g: int, k: int) -> tuple[tuple[int, ...
 
 def eval_formula(prog: Sequence[int], assign: Sequence[int], g: int, k: int) -> int:
     """Run a postfix formula program over the field. assign is indexed by
-    0-based variable number; Boolean gates use 1+a and a+b+ab. An operand
-    that is 0 or 1 turns a gate into a select with no multiply: a AND b is
-    0 when a = 0 and b when a = 1, and a OR b = a + b + ab is b when a = 0
-    and 1 when a = 1 (and symmetrically in b)."""
+    0-based variable number; Boolean gates use 1+a, ab and a+b+ab. A gate
+    with a 0/1 operand makes no field multiply, since ``gf_mul`` returns
+    a*b for one."""
     stack: list[int] = []
     for pos in range(0, len(prog), 2):
         op = prog[pos]
@@ -217,34 +218,24 @@ def eval_formula(prog: Sequence[int], assign: Sequence[int], g: int, k: int) -> 
         elif op == OP_AND:
             b = stack.pop()
             a = stack[-1]
-            if a <= 1:
-                stack[-1] = b if a else 0
-            elif b <= 1:
-                stack[-1] = a if b else 0
-            else:
-                stack[-1] = gf_mul(a, b, g, k)
+            stack[-1] = gf_mul(a, b, g, k)
         else:
             b = stack.pop()
             a = stack[-1]
-            if a <= 1:
-                stack[-1] = 1 if a else b
-            elif b <= 1:
-                stack[-1] = 1 if b else a
-            else:
-                stack[-1] = a ^ b ^ gf_mul(a, b, g, k)
+            stack[-1] = a ^ b ^ gf_mul(a, b, g, k)
     return stack[-1]
 
 
 def combine_on(gf_mul, kind: int, rho: int, f0: int, f1: int, g: int, k: int) -> int:
     """The verifier's round rule on the given field multiply: the value f(0)
     and f(1) must combine to when the round variable held rho. forall f0*f1,
-    exists f0+f1+f0*f1, reduce (1+rho)*f0 + rho*f1 (characteristic 2, so
-    1+rho == rho^1)."""
+    exists f0+f1+f0*f1, reduce (1+rho)*f0 + rho*f1, computed with one
+    multiply as f0 + rho*(f0+f1) (characteristic 2: + is XOR)."""
     if kind == K_FORALL:
         return gf_mul(f0, f1, g, k)
     if kind == K_EXISTS:
         return f0 ^ f1 ^ gf_mul(f0, f1, g, k)
-    return gf_mul(rho ^ 1, f0, g, k) ^ gf_mul(rho, f1, g, k)
+    return f0 ^ gf_mul(rho, f0 ^ f1, g, k)
 
 
 combine = functools.partial(combine_on, gf_mul)
@@ -258,6 +249,7 @@ def quantified_value(
     assign: list[int],
     g: int,
     k: int,
+    memo: dict[int, int],
 ) -> int:
     """Value of the operator suffix kinds[start:] applied to the arithmetized
     formula, under the current assignment. assign is scratch: entries for the
@@ -266,20 +258,79 @@ def quantified_value(
     A reduce round whose variable already holds rho in {0, 1} is the next
     suffix's value at rho, since (1+rho)*f0 + rho*f1 = f_rho there. So it
     recurses once, with the variable left as it is, where other rounds
-    recurse twice."""
+    recurse twice.
+
+    Where every entry of assign is 0 or 1, ``_boolean_value`` takes over
+    with ``memo``, which serves one (kinds, tvars, prog) only."""
     n = len(kinds)
     while start < n and kinds[start] == K_REDUCE and assign[tvars[start]] <= 1:
         start += 1
+    if max(assign, default=0) <= 1:
+        mask = 0
+        for t, a in enumerate(assign):
+            mask |= a << t
+        return _boolean_value(kinds, tvars, start, prog, assign, mask, g, k, memo)
     if start == n:
         return eval_formula(prog, assign, g, k)
     t = tvars[start]
     old = assign[t]
     assign[t] = 0
-    v0 = quantified_value(kinds, tvars, start + 1, prog, assign, g, k)
+    v0 = quantified_value(kinds, tvars, start + 1, prog, assign, g, k, memo)
     assign[t] = 1
-    v1 = quantified_value(kinds, tvars, start + 1, prog, assign, g, k)
+    v1 = quantified_value(kinds, tvars, start + 1, prog, assign, g, k, memo)
     assign[t] = old
     return combine(kinds[start], old, v0, v1, g, k)
+
+
+# A memo of Boolean suffix values takes no entry past this size, so it stays
+# a few tens of MiB on any instance; it is a sixteenth of
+# sumcheck.MAX_PARTIAL_LEAVES, the most evaluations one message may make.
+MEMO_MAX_ENTRIES = 1 << 18
+
+
+def _boolean_value(
+    kinds: Sequence[int],
+    tvars: Sequence[int],
+    start: int,
+    prog: Sequence[int],
+    assign: list[int],
+    mask: int,
+    g: int,
+    k: int,
+    memo: dict[int, int],
+) -> int:
+    """``quantified_value`` where every entry of assign is 0 or 1 (bit t of
+    mask is assign[t]) and kinds[start] is a quantifier round or the end of
+    the chain. Every reduce round of the suffix is then skipped, and the
+    value is the 0/1 truth value of the residual QBF: AND over a forall
+    round, OR over an exists.
+
+    Values are read from and stored in ``memo``, keyed by (start, mask),
+    and none is stored once the memo holds MEMO_MAX_ENTRIES. No call tree
+    meets one state twice, so a fresh memo changes no evaluation count."""
+    n = len(kinds)
+    key = mask * (n + 1) + start
+    v = memo.get(key)
+    if v is not None:
+        return v
+    if start == n:
+        v = eval_formula(prog, assign, g, k)
+    else:
+        t = tvars[start]
+        old = assign[t]
+        bit = 1 << t
+        nxt = start + 1
+        while nxt < n and kinds[nxt] == K_REDUCE:
+            nxt += 1
+        assign[t] = 0
+        v0 = _boolean_value(kinds, tvars, nxt, prog, assign, mask & ~bit, g, k, memo)
+        assign[t] = 1
+        v1 = _boolean_value(kinds, tvars, nxt, prog, assign, mask | bit, g, k, memo)
+        assign[t] = old
+        v = v0 & v1 if kinds[start] == K_FORALL else v0 | v1
+    if len(memo) < MEMO_MAX_ENTRIES:
+        memo[key] = v
+    return v
 
 
 def honest_sweep(
@@ -299,10 +350,12 @@ def honest_sweep(
     suffix value from round j", and the final matrix check is that test
     after round N. So: the chain is 1, and for each round, each setting of
     the variables bound before it (others 0) and each r in F, the message
-    at r is the suffix value with the round variable at r."""
+    at r is the suffix value with the round variable at r. One memo of
+    Boolean suffix values serves the whole sweep."""
     size = 1 << k
     assign = [0] * nvars
-    if quantified_value(kinds, tvars, 0, prog, assign, g, k) != 1:
+    memo: dict[int, int] = {}
+    if quantified_value(kinds, tvars, 0, prog, assign, g, k, memo) != 1:
         return False
     for j, t in enumerate(tvars):
         npts = min(dbounds[j] + 1, size)
@@ -313,7 +366,7 @@ def honest_sweep(
             ys = []
             for r in range(size):
                 assign[t] = r
-                ys.append(quantified_value(kinds, tvars, j + 1, prog, assign, g, k))
+                ys.append(quantified_value(kinds, tvars, j + 1, prog, assign, g, k, memo))
             cs = interpolate(range(npts), ys[:npts], g, k)
             for r in range(npts, size):
                 if poly_eval(cs, r, g, k) != ys[r]:

@@ -584,7 +584,11 @@ class QuantumProtocol:
         act block by block: the step-1 pass is p^blocks, accept(u) is the
         product of the simulated a(v) over u's blocks v, each row's events
         repeat per block, and over every u the mean is the simulated mean to
-        the power blocks, so exhaustive mode never sums the N^m products."""
+        the power blocks, so exhaustive mode never sums the N^m products.
+        The seed must be non-negative, since ``random.Random(-s)`` draws what
+        ``random.Random(s)`` draws."""
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, not {seed}")
         us = self._draw_us(u_mode, samples, seed)
         sim = QuantumProtocol(self.q, self.field, 1) if isinstance(spec, RowProver) else self
         width, blocks = sim.copies, self.copies // sim.copies

@@ -137,7 +137,7 @@ def partial_value(
         raise ValueError(f"assignment must have {q.n} entries")
     _check_suffix(schedule, field, j, assignment)
     return field.ops.quantified_value(schedule.kinds, schedule.tvars, j, schedule.prog,
-                                      list(assignment), field.g, field.k)
+                                      list(assignment), field.g, field.k, {})
 
 
 def _prefix_assignment(schedule: RoundSchedule, n: int, r_prefix: Sequence[int]) -> list[int]:
@@ -153,11 +153,17 @@ def correct_polynomial(
     field: Field,
     j: int,
     r_prefix: Sequence[int],
+    memo: dict[int, int] | None = None,
 ) -> UniPoly:
     """The honest round-j message: the suffix value as a polynomial in the
     round variable, interpolated from min(d_j + 1, |F|) abscissae. When the
     field is smaller than the degree cap this is the minimal-degree
-    representative agreeing on all of F, which every check evaluates."""
+    representative agreeing on all of F, which every check evaluates.
+
+    ``memo`` holds suffix values at Boolean points (see
+    ``_kernels.purepy._boolean_value``). A caller that asks for many
+    messages of one instance passes the same dict each time; without one,
+    the call uses a fresh dict."""
     if not 1 <= j <= schedule.n_rounds:
         raise ValueError(f"round index {j} outside 1..{schedule.n_rounds}")
     if len(r_prefix) != j - 1:
@@ -169,11 +175,13 @@ def correct_polynomial(
     # non-Boolean whenever any is, so it makes the most evaluations.
     assign[t] = npts - 1
     _check_suffix(schedule, field, j, assign)
+    if memo is None:
+        memo = {}
     ys = []
     for z in range(npts):
         assign[t] = z
         ys.append(field.ops.quantified_value(schedule.kinds, schedule.tvars, j, schedule.prog,
-                                             assign, field.g, field.k))
+                                             assign, field.g, field.k, memo))
     return tuple(field.ops.interpolate(range(npts), ys, field.g, field.k))
 
 
@@ -261,15 +269,17 @@ class ProverPolicy(Protocol):
 
 
 class HonestPolicy:
-    """Replies with the correct polynomial every round."""
+    """Replies with the correct polynomial every round. One memo of Boolean
+    suffix values serves every message and every run of the policy."""
 
     def __init__(self, q: PrenexQbf, field: Field, schedule: RoundSchedule | None = None):
         self.q = q
         self.field = field
         self.schedule = schedule or build_schedule(q)
+        self._memo: dict[int, int] = {}
 
     def next_poly(self, j, r_prefix, sent):
-        return correct_polynomial(self.q, self.schedule, self.field, j, r_prefix)
+        return correct_polynomial(self.q, self.schedule, self.field, j, r_prefix, self._memo)
 
 
 def honest_policy(q: PrenexQbf, field: Field) -> HonestPolicy:
@@ -323,14 +333,16 @@ def _verify(q: PrenexQbf, schedule: RoundSchedule, field: Field,
             return reject(j, "degree bound exceeded")
         if not all(0 <= c < field.order for c in fj):
             return reject(j, "message not over the field")
-        f0 = field.poly_eval(fj, 0)
-        f1 = field.poly_eval(fj, 1)
+        # fj is checked, so the kernel evaluates it; at 0 and 1 no multiply
+        # reaches the table or the comb
+        f0 = field.ops.poly_eval(fj, 0, field.g, field.k)
+        f1 = field.ops.poly_eval(fj, 1, field.g, field.k)
         if _kernels.combine(kind, assign[t], f0, f1, field.g, field.k) != v:
             return reject(j)
         rj = field.check(r_seq[j - 1])
         r_used.append(rj)
         assign[t] = rj
-        v = field.poly_eval(fj, rj)
+        v = field.ops.poly_eval(fj, rj, field.g, field.k)
     # every entry of assign is a challenge, already checked
     if v != field.ops.eval_formula(schedule.prog, assign, field.g, field.k):
         return reject(n_rounds, "final matrix check failed")
@@ -346,9 +358,13 @@ def run_protocol(
     rng: random.Random | int = 0,
     schedule: RoundSchedule | None = None,
 ) -> Transcript:
-    """One seeded run; each challenge is one k-bit draw from the PRNG."""
+    """One seeded run; each challenge is one k-bit draw from the PRNG. An
+    int seed must be non-negative, since ``random.Random(-s)`` draws what
+    ``random.Random(s)`` draws."""
     schedule = schedule or build_schedule(q)
     if isinstance(rng, int):
+        if rng < 0:
+            raise ValueError(f"seed must be non-negative, not {rng}")
         rng = random.Random(rng)
     r_seq = [rng.getrandbits(field.k) for _ in range(schedule.n_rounds)]
     return run_with_randomness(q, field, policy, r_seq, schedule)
@@ -597,13 +613,15 @@ def accepting_row_messages(
 class TranscriptOracle:
     """Memoized honest messages. Round j's message depends only on the
     challenges r_1..r_{j-1}, so ``_rows`` holds one message per challenge
-    prefix, and rows that share a prefix share its messages."""
+    prefix, and rows that share a prefix share its messages. ``_memo``
+    holds the suffix values at Boolean points that every message shares."""
 
     def __init__(self, q: PrenexQbf, field: Field, schedule: RoundSchedule | None = None):
         self.q = q
         self.field = field
         self.schedule = schedule or build_schedule(q)
         self._rows: dict[tuple[int, ...], UniPoly] = {}
+        self._memo: dict[int, int] = {}
 
     def correct_row(self, r_row: tuple[int, ...]) -> tuple[UniPoly, ...]:
         n_rounds = self.schedule.n_rounds
@@ -614,7 +632,8 @@ class TranscriptOracle:
             prefix = r_row[: j - 1]
             poly = self._rows.get(prefix)
             if poly is None:
-                poly = correct_polynomial(self.q, self.schedule, self.field, j, prefix)
+                poly = correct_polynomial(self.q, self.schedule, self.field, j, prefix,
+                                          self._memo)
                 self._rows[prefix] = poly
             out.append(poly)
         return tuple(out)

@@ -102,6 +102,12 @@ def invocations() -> list[list[str]]:
     # A true n = 6 formula: the honest prover must be accepted, not cut off.
     add("classical", "run", "--formula",
         "A x1 E x2 A x3 E x4 A x5 E x6 : (x1 | x2) & (x3 | x4) & (x5 | x6)", "--k", "32")
+    # A true n = 8 formula, x2k = ~x(2k-1): three honest trials at each wide field.
+    for k in ("32", "64"):
+        add("classical", "run", "--formula",
+            "A x1 E x2 A x3 E x4 A x5 E x6 A x7 E x8 : (x1 | x2) & (~x1 | ~x2) & (x3 | x4) "
+            "& (~x3 | ~x4) & (x5 | x6) & (~x5 | ~x6) & (x7 | x8) & (~x7 | ~x8)",
+            "--k", k, "--trials", "3")
     # 2^23 formula evaluations behind round 1's message: refused.
     add("classical", "run", "--formula", _chain("A", 24, "x1 | ~x1"), "--k", "8")
 

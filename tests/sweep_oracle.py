@@ -64,7 +64,7 @@ def honest_sweep(
         ys = []
         for z in range(npts):
             assign[t] = z
-            ys.append(quantified_value(kinds, tvars, j + 1, prog, assign, g, k))
+            ys.append(quantified_value(kinds, tvars, j + 1, prog, assign, g, k, {}))
         assign[t] = old
         cs = interpolate(range(npts), ys, g, k)
         if combine(kinds[j], old, ys[0], ys[1], g, k) != v:

@@ -136,7 +136,7 @@ def test_formula_kernels_parity():
                     q.matrix, assign, g)
                 for j in range(sched.n_rounds + 1):
                     scratch = list(assign)
-                    got = purepy.quantified_value(kinds, tvars, j, prog, scratch, g, k)
+                    got = purepy.quantified_value(kinds, tvars, j, prog, scratch, g, k, {})
                     assert scratch == list(assign)
                     assert got == ref_quantified(q.matrix, rounds[j:], assign, g)
 
@@ -164,7 +164,7 @@ def test_formula_kernels_parity_generated(inst):
     assert purepy.eval_formula(prog, assign, g, k) == ref_formula(q.matrix, assign, g)
     for j in range(sched.n_rounds + 1):
         scratch = list(assign)
-        got = purepy.quantified_value(kinds, tvars, j, prog, scratch, g, k)
+        got = purepy.quantified_value(kinds, tvars, j, prog, scratch, g, k, {})
         assert scratch == list(assign)
         assert got == ref_quantified(q.matrix, rounds[j:], assign, g)
 
@@ -186,8 +186,23 @@ def test_combine_multiplies_through_active_backend(monkeypatch):
 
     monkeypatch.setattr(qipsim._kernels, "active", SimpleNamespace(gf_mul=counting_mul))
     f = Field(3)
-    for kind, muls in ((purepy.K_FORALL, 1), (purepy.K_EXISTS, 1), (purepy.K_REDUCE, 2)):
+    for kind, muls in ((purepy.K_FORALL, 1), (purepy.K_EXISTS, 1), (purepy.K_REDUCE, 1)):
         calls.clear()
         got = qipsim._kernels.combine(kind, 5, 3, 6, f.g, f.k)
         assert got == purepy.combine(kind, 5, 3, 6, f.g, f.k)
         assert len(calls) == muls
+
+
+def test_combine_parity():
+    # the round rules against their textbook forms on ``ref_mul``; reduce is
+    # (1+rho)*f0 + rho*f1, at Boolean and non-Boolean rho
+    rng = random.Random(5)
+    for k in (1, 2, 3, 8, 32, 64):
+        g = find_modulus(k)
+        for f0, f1 in _operands(rng, k, 60):
+            assert purepy.combine(purepy.K_FORALL, 0, f0, f1, g, k) == ref_mul(f0, f1, g)
+            assert purepy.combine(purepy.K_EXISTS, 0, f0, f1, g, k) == (
+                f0 ^ f1 ^ ref_mul(f0, f1, g))
+            for rho in {0, 1, (1 << k) - 1, rng.getrandbits(k)}:
+                assert purepy.combine(purepy.K_REDUCE, rho, f0, f1, g, k) == (
+                    ref_mul(1 ^ rho, f0, g) ^ ref_mul(rho, f1, g))

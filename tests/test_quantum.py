@@ -261,6 +261,15 @@ def test_run_refuses_bad_u_options_before_round1(monkeypatch):
             proto.run(HonestProver(), u_mode="sample", samples=quantum.MAX_BRANCHES + 1)
 
 
+def test_negative_seed_refused():
+    # random.Random(-s) draws what random.Random(s) draws
+    q = parse_qbf("A x1 : x1")
+    with pytest.raises(ValueError, match="non-negative"):
+        run_quantum(q, 3, 2, HonestProver(), "sample", 4, -3)
+    with pytest.raises(ValueError, match="non-negative"):
+        QuantumProtocol(q, Field(2), 1).run(HonestProver(), "sample", 4, seed=-1)
+
+
 def test_honest_messages_memoized_by_prefix(monkeypatch):
     # round j's honest message depends on r_1..r_{j-1} only: one call per
     # challenge prefix, 1 + 4 + ... + 4^4, in place of 5 per row of 4^5

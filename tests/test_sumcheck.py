@@ -18,6 +18,8 @@ from qipsim._kernels import K_EXISTS, K_FORALL, K_REDUCE, purepy
 from qipsim.gf2k import Field, poly_degree, poly_trim
 from qipsim.qbf import arith_eval, compile_matrix, eval_qbf, parse_qbf
 from qipsim.sumcheck import (
+    HonestPolicy,
+    MAX_PARTIAL_LEAVES,
     ProtocolSizeError,
     _suffix_evaluations,
     Transcript,
@@ -226,6 +228,77 @@ def test_honest_degrees_within_bounds():
                 assign[t] = z
                 pts.append((z, partial_value(q, s, fld, j, assign)))
             assert poly_degree(fld.poly_interpolate(pts)) <= dj
+
+
+@st.composite
+def _memo_runs(draw):
+    """A generated formula, a field width, run seeds, and challenge rows
+    whose entries are each independently Boolean or a random field element."""
+    q = draw(formulas(max_n=3))
+    k = draw(st.sampled_from((1, 2, 3, 32, 64)))
+    n_rounds = build_schedule(q).n_rounds
+    elem = st.one_of(st.sampled_from((0, 1)), st.integers(0, (1 << k) - 1))
+    seeds = draw(st.lists(st.integers(0, (1 << 64) - 1), min_size=1, max_size=3))
+    rows = draw(st.lists(st.tuples(*[elem] * n_rounds), min_size=1, max_size=3))
+    return q, k, seeds, rows
+
+
+@settings(max_examples=60)
+@given(_memo_runs())
+def test_boolean_memo_matches_memo_free_paths(inst):
+    # one HonestPolicy and one TranscriptOracle, each with its memo of
+    # Boolean suffix values, serve every prefix and every seed; each message
+    # equals correct_polynomial with a fresh memo and the interpolation of
+    # partial_value (a fresh memo per call) at the round's nodes
+    q, k, seeds, rows = inst
+    field = Field(k)
+    schedule = build_schedule(q)
+    policy = HonestPolicy(q, field, schedule)
+    oracle = TranscriptOracle(q, field, schedule)
+    served = [(tr.r, tr.f) for tr in (run_protocol(q, field, policy, s, schedule)
+                                      for s in seeds)]
+    served += [(row, oracle.correct_row(row)) for row in rows]
+    for r, f in served:
+        for j in range(1, len(f) + 1):
+            assert f[j - 1] == correct_polynomial(q, schedule, field, j, r[: j - 1])
+            assign = [0] * q.n
+            for t, x in zip(schedule.tvars, r[: j - 1]):
+                assign[t] = x
+            t = schedule.tvars[j - 1]
+            npts = min(schedule.degree_bounds[j - 1] + 1, field.order)
+            pts = []
+            for z in range(npts):
+                assign[t] = z
+                pts.append((z, partial_value(q, schedule, field, j, assign)))
+            assert f[j - 1] == field.poly_interpolate(pts)
+    # a stored state is the quantifier round of some x_i with x_1..x_(i-1)
+    # Boolean and the later variables 0 (fewer than 2^n of them), or the end
+    # of the chain with every variable Boolean (2^n)
+    for memo in (policy._memo, oracle._memo):
+        assert 0 < len(memo) < 2 ** (q.n + 1)
+
+
+def test_boolean_memo_stops_at_its_cap(monkeypatch):
+    # a full memo takes no new entry and every message stays the same
+    assert purepy.MEMO_MAX_ENTRIES == MAX_PARTIAL_LEAVES >> 4
+    q = parse_qbf("A x1 E x2 A x3 E x4 A x5 : (x1 | x2) & (~x3 | x4 | x5)")
+    field = Field(32)
+    schedule = build_schedule(q)
+    want = [run_protocol(q, field, HonestPolicy(q, field, schedule), s, schedule)
+            for s in range(3)]
+    monkeypatch.setattr(purepy, "MEMO_MAX_ENTRIES", 3)
+    policy = HonestPolicy(q, field, schedule)
+    got = [run_protocol(q, field, policy, s, schedule) for s in range(3)]
+    assert got == want
+    assert len(policy._memo) == 3
+
+
+def test_negative_seed_refused():
+    # random.Random(-s) draws what random.Random(s) draws
+    q = parse_qbf("A x1 : x1 | ~x1")
+    f = Field(4)
+    with pytest.raises(ValueError, match="non-negative"):
+        run_protocol(q, f, honest_policy(q, f), rng=-5)
 
 
 def test_honest_sweeps():
