@@ -31,10 +31,10 @@ from .bounds import BoundParams, choose_params, soundness_bound
 from .gf2k import Field
 from .qbf import QbfSyntaxError, parse_qbf
 from .quantum import (
-    MAX_DENSE_QUBITS,
     BiasedSupportProver,
     HonestProver,
     QuantumProtocol,
+    check_dense_size,
     dense_oracle,
     full_lookahead,
 )
@@ -210,11 +210,8 @@ def _make_quantum_spec(name: str, proto: QuantumProtocol):
 def cmd_quantum_run(args) -> dict:
     q = _load_formula(args)
     proto = QuantumProtocol(q, Field(args.k), args.m)
-    if args.dense_check and proto.layout.total_qubits > MAX_DENSE_QUBITS:
-        raise CliError(
-            f"dense check needs <= {MAX_DENSE_QUBITS} qubits, "
-            f"got {proto.layout.total_qubits}"
-        )
+    if args.dense_check:
+        check_dense_size(proto.layout)
     spec = _make_quantum_spec(args.prover, proto)
     report = proto.run(
         spec, u_mode=args.u, samples=args.samples, seed=args.seed

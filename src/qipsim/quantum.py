@@ -657,32 +657,63 @@ def run_quantum(
 
 
 # ---------------------------------------------------------------------------
-# Dense state-vector oracle. Same protocol on the full 2^total_qubits vector:
-# the round-1 state is written in directly, round 2 is an explicit basis
-# permutation and step 4 explicit Hadamard gates; floating point, used to
-# cross-check the sparse closed form.
+# Dense state-vector oracle. Same protocol on the full 2^total_qubits vector,
+# in floating point, to cross-check the sparse closed form: the round-1 state
+# is written in directly, round 2 is an explicit basis permutation and step 4
+# explicit Hadamard gates.
+#
+# The vector is R-major: its flat index holds the R qubits above the F and S
+# qubits, which is the layout's qubit index rotated (see _DenseCodec). A gate
+# on an R qubit is then a butterfly between contiguous blocks of at least
+# 2^(F and S qubits) amplitudes, done in place, and the all-zero outcome of
+# the hidden registers is a slice of the vector. The vector holds unnormalized
+# amplitudes: a prover's unweighted branches are written as 1.0 and the gates
+# leave out their 1/sqrt(2), so the normalization is one factor on the
+# probability, 2^-(R qubits + gates) for a uniform prover. Every amplitude is
+# then a small integer and that probability is exact.
+
+
+def check_dense_size(layout: RegisterLayout) -> None:
+    """Refuse a layout whose state vector is past ``MAX_DENSE_QUBITS``; the
+    message states the qubits and the float64 vector's bytes."""
+    qubits = layout.total_qubits
+    if qubits > MAX_DENSE_QUBITS:
+        raise ProtocolSizeError(
+            f"the dense oracle needs {qubits} qubits, a state vector of 2^{qubits + 3} "
+            f"bytes, past its limit of {MAX_DENSE_QUBITS} qubits "
+            f"({8 << MAX_DENSE_QUBITS >> 20} MiB)"
+        )
+
+
+def _butterfly(sv: np.ndarray, qubit: int, scale: float = 1.0) -> None:
+    """(lo, hi) -> scale * (lo + hi, lo - hi) on every pair of amplitudes of
+    sv that differ in that qubit, in place and with no temporary."""
+    v = sv.reshape(-1, 2, 1 << qubit)
+    lo, hi = v[:, 0], v[:, 1]
+    lo += hi
+    if scale != 1.0:
+        lo *= scale
+    hi *= -2.0 * scale
+    hi += lo
 
 
 def apply_hadamard(sv: np.ndarray, qubit: int) -> np.ndarray:
     """Apply a Hadamard gate to one qubit of a flat state vector in place."""
-    import numpy as np
-
-    block = 1 << qubit
-    v = sv.reshape(-1, 2, block)
-    lo = v[:, 0, :].copy()
-    hi = v[:, 1, :]
-    inv = 1.0 / np.sqrt(2.0)
-    v[:, 0, :] = (lo + hi) * inv
-    v[:, 1, :] = (lo - hi) * inv
+    _butterfly(sv, qubit, 1.0 / math.sqrt(2.0))
     return sv
 
 
 class _DenseCodec:
-    """Encode/decode basis indices for the [R | F | S] qubit layout."""
+    """Encode/decode flat indices of the R-major dense vector. The layout
+    numbers the R qubits first, then F, then S; the vector's index is that
+    qubit index rotated right by the R qubits, so an R qubit at layout offset
+    q is bit q + rest of the index, rest being the F and S qubits."""
 
     def __init__(self, layout: RegisterLayout):
         self.layout = layout
         self.mask = (1 << layout.field_bits) - 1
+        self.r_bits = layout.copies * layout.n_rounds * layout.field_bits
+        self.rest = layout.total_qubits - self.r_bits
 
     def encode(self, R: RMatrix, F: FMatrix, S: RMatrix) -> int:
         lay = self.layout
@@ -694,11 +725,12 @@ class _DenseCodec:
                 base = lay.f_offset(i, j)
                 for t, cv in enumerate(F[i - 1][j - 1]):
                     idx |= cv << (base + t * lay.field_bits)
-        return idx
+        return ((idx & ((1 << self.r_bits) - 1)) << self.rest) | (idx >> self.r_bits)
 
-    def decode(self, idx: int) -> tuple[RMatrix, FMatrix, RMatrix]:
+    def decode(self, flat: int) -> tuple[RMatrix, FMatrix, RMatrix]:
         lay = self.layout
         k = lay.field_bits
+        idx = (flat >> self.rest) | ((flat & ((1 << self.rest) - 1)) << self.r_bits)
         R = tuple(
             tuple((idx >> lay.r_offset(i, j)) & self.mask
                   for j in range(1, lay.n_rounds + 1))
@@ -722,15 +754,17 @@ class _DenseCodec:
         return R, F, S
 
 
-def _permute_support(sv: np.ndarray, mapping: Callable[[int], int]) -> None:
-    """Apply a basis-state permutation to the nonzero support of sv in place:
-    zero the old support, then write each amplitude at its image."""
+def _permute_support(sv: np.ndarray, support: list[int],
+                     mapping: Callable[[int], int]) -> None:
+    """Apply a basis-state permutation in place to sv, whose nonzero
+    amplitudes sit at the indices in support: zero the old support, then
+    write each amplitude at its image."""
     import numpy as np
 
-    idxs = np.nonzero(sv)[0]
+    idxs = np.array(support, dtype=np.intp)
     amps = sv[idxs]
     sv[idxs] = 0.0
-    sv[np.fromiter((mapping(int(i)) for i in idxs), dtype=np.intp, count=len(idxs))] = amps
+    sv[np.array([mapping(i) for i in support], dtype=np.intp)] = amps
 
 
 def dense_oracle(
@@ -747,32 +781,39 @@ def dense_oracle(
     proto = QuantumProtocol(q, Field(k), m)
     lay = proto.layout
     u = lay.check_u(u)
-    if lay.total_qubits > MAX_DENSE_QUBITS:
-        raise ProtocolSizeError(
-            f"{lay.total_qubits} qubits exceed the dense limit {MAX_DENSE_QUBITS}"
-        )
+    check_dense_size(lay)
     codec = _DenseCodec(lay)
     sv = np.zeros(1 << lay.total_qubits, dtype=np.float64)
 
-    # Round 1: inject each branch's amplitude at |R, F(R), S = R>. A uniform
-    # prover's R runs over every value of the R registers, the lowest qubits.
+    # Round 1: inject each branch's amplitude at |R, F(R), S = R>, keeping
+    # the list of indices written. A uniform prover's R runs over every value
+    # of the R qubits, the top of the index. The norm is the sum of the
+    # squared amplitudes written.
     if isinstance(spec, BiasedSupportProver):
         proto._check_support(spec)
-        amps = (map(float, spec.weights) if spec.weights is not None
-                else itertools.repeat(1.0 / np.sqrt(len(spec.support))))
-        branches = zip(spec.support, amps)
+        if spec.weights is None:
+            branches = zip(spec.support, itertools.repeat(1.0))
+            norm = len(spec.support)
+        else:
+            branches = zip(spec.support, map(float, spec.weights))
+            norm = 1
     else:
-        r_states = 1 << (lay.copies * lay.n_rounds * k)
-        amp = 1.0 / np.sqrt(r_states)
-        branches = ((codec.decode(idx)[0], amp) for idx in range(r_states))
+        norm = 1 << codec.r_bits
+        branches = ((codec.decode(r << codec.rest)[0], 1.0) for r in range(norm))
+    support = []
     for R, amp in branches:
-        sv[codec.encode(R, proto.padded_f_matrix(spec, R), R)] = amp
+        idx = codec.encode(R, proto.padded_f_matrix(spec, R), R)
+        sv[idx] = amp
+        support.append(idx)
 
     # Step 1: project onto branches whose rows are all valid transcripts.
-    for idx in np.nonzero(sv)[0]:
-        R, F, _ = codec.decode(int(idx))
-        if not all(transcript_valid(q, proto.schedule, proto.field, R[i], F[i])
-                   for i in range(lay.copies)):
+    kept = []
+    for idx in support:
+        R, F, _ = codec.decode(idx)
+        if all(transcript_valid(q, proto.schedule, proto.field, R[i], F[i])
+               for i in range(lay.copies)):
+            kept.append(idx)
+        else:
             sv[idx] = 0.0
 
     # Rounds 2-3: prover uncomputes the returned message columns from S,
@@ -792,18 +833,25 @@ def dense_oracle(
         )
         return codec.encode(R, new_f, new_s)
 
-    _permute_support(sv, round2)
+    _permute_support(sv, kept, round2)
 
     # Step 4: Hadamard every hidden challenge register, then read the
     # probability that all of those qubits are zero.
-    zero_mask = 0
+    gates = 0
     for i in range(1, lay.copies + 1):
         for j in range(u[i - 1], lay.n_rounds + 1):
-            base = lay.r_offset(i, j)
+            base = codec.rest + lay.r_offset(i, j)
             for b in range(k):
-                apply_hadamard(sv, base + b)
-                zero_mask |= 1 << (base + b)
+                _butterfly(sv, base + b)
+                gates += 1
 
-    idxs = np.nonzero(sv)[0]
-    keep = idxs[(idxs & zero_mask) == 0]
-    return float(np.sum(sv[keep] ** 2))
+    # Row i's hidden registers are the top cells of its block of R qubits,
+    # so seen as (row m hidden, row m kept, ..., row 1 kept, F and S) the
+    # all-zero outcome is index 0 on every hidden axis.
+    shape, zero = [], []
+    for x in reversed(u):
+        shape += [1 << (k * (lay.n_rounds - x + 1)), 1 << (k * (x - 1))]
+        zero += [0, slice(None)]
+    accepted = sv.reshape(*shape, 1 << codec.rest)[tuple(zero)]
+    np.square(accepted, out=accepted)
+    return math.ldexp(float(accepted.sum()) / norm, -gates)

@@ -80,6 +80,11 @@ def invocations() -> list[list[str]]:
                     "--prover", prover, "--dense-check")
     add("quantum", "run", "--formula", "A x1 : x1", "--k", "2", "--m", "1",
         "--prover", "lookahead:full", "--dense-check")
+    # The row path against the joint dense state, and a 24-qubit dense vector.
+    add("quantum", "run", "--formula", "A x1 : x1", "--k", "1", "--m", "2",
+        "--prover", "lookahead:full", "--dense-check")
+    add("quantum", "run", "--formula", "A x1 : x1 & x1 & x1", "--k", "2", "--m", "1",
+        "--prover", "lookahead:full", "--dense-check")
     add("quantum", "run", "--formula", "A x1 : x1", "--k", "4", "--m", "3",
         "--prover", "lookahead:full")
     # README's first example.

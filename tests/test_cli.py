@@ -360,7 +360,8 @@ def test_dense_check_refused_before_running(capsys):
         capsys, "quantum", "run", "--formula", "A x1 A x2 : x1 & x2",
         "--k", "4", "--m", "1", "--dense-check")
     assert code == 2 and out == ""
-    assert "dense check needs <= 26 qubits, got 100" in err
+    assert ("the dense oracle needs 100 qubits, a state vector of 2^103 bytes, "
+            "past its limit of 26 qubits (512 MiB)") in err
     assert "cutoff" not in err
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -493,12 +494,53 @@ def test_resume_union_is_sum_of_resume_events(q, k, m, kind):
 
 def test_hadamard_involution():
     rng = np.random.default_rng(5)
-    sv = rng.normal(size=8) + 1j * rng.normal(size=8)
-    ref = sv.copy()
-    for qb in range(3):
-        apply_hadamard(sv, qb)
-        apply_hadamard(sv, qb)
-        assert np.max(np.abs(sv - ref)) <= 1e-12
+    for sv in (rng.normal(size=8), rng.normal(size=8) + 1j * rng.normal(size=8)):
+        ref = sv.copy()
+        for qb in range(3):
+            # one gate mixes each pair of amplitudes that differ in bit qb
+            pairs = ref.reshape(-1, 2, 1 << qb)
+            once = np.stack([pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]], axis=1)
+            assert apply_hadamard(sv, qb) is sv
+            assert np.max(np.abs(sv - once.reshape(-1) / np.sqrt(2))) <= 1e-12
+            assert apply_hadamard(sv, qb) is sv
+            assert sv.dtype == ref.dtype
+            assert np.max(np.abs(sv - ref)) <= 1e-12
+
+
+def test_dense_codec_is_r_major():
+    # the flat index is the layout's qubit index rotated: R on top, above F
+    # and S, each register where RegisterLayout puts it within its part
+    lay = RegisterLayout(2, 2, 1, 1)  # 4 R qubits, 8 F, 4 S
+    codec = quantum._DenseCodec(lay)
+    rest = lay.total_qubits - 4
+    assert (codec.r_bits, codec.rest) == (4, rest)
+    r0 = ((0, 0), (0, 0))
+    f0 = (((0, 0), (0, 0)), ((0, 0), (0, 0)))
+    assert codec.encode(((1, 0), (0, 1)), f0, r0) == 0b1001 << rest
+    f = (((0, 1), (0, 0)), ((0, 0), (0, 0)))
+    assert codec.encode(r0, f, r0) == 1 << (lay.f_offset(1, 1) + 1 - 4)
+    assert codec.encode(r0, f0, ((0, 1), (0, 0))) == 1 << (lay.s_offset(1, 2) - 4)
+    rng = random.Random(3)
+    for _ in range(50):
+        idx = rng.randrange(1 << lay.total_qubits)
+        assert codec.encode(*codec.decode(idx)) == idx
+
+
+def test_dense_oracle_peak_memory():
+    # every gate runs in place: the 20-qubit call allocates its 8 MiB vector
+    # and little else
+    q, f = parse_qbf("A x1 : x1"), Field(2)
+    spec = full_lookahead(q, f)
+    assert QuantumProtocol(q, f, 1).layout.total_qubits == 20
+    for u in ((1,), (2,)):
+        dense_oracle(q, 2, 1, spec, u)  # fills the prover's row memo
+        tracemalloc.start()
+        try:
+            dense_oracle(q, 2, 1, spec, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * (8 << 20), (u, peak)
 
 
 def test_dense_oracle_honest_true():
@@ -509,7 +551,8 @@ def test_dense_oracle_honest_true():
 
 def test_dense_oracle_qubit_limit():
     q = parse_qbf("E x1 : x1")
-    with pytest.raises(ProtocolSizeError):
+    with pytest.raises(ProtocolSizeError,
+                       match=r"needs 80 qubits, a state vector of 2\^83 bytes"):
         dense_oracle(q, 4, 2, HonestProver(), (1, 1))
 
 
