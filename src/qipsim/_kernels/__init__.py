@@ -5,6 +5,10 @@ package calls them through: every ``Field`` takes it as its ``ops`` when it is
 built, and ``combine`` reads ``active.gf_mul`` per call. That indirection is
 the hook a tracer uses to count kernel calls, by setting a counting proxy as
 ``active`` before any ``Field`` is built.
+
+``honest_message`` is called as ``_kernels.honest_message``, never through
+``active`` or a ``Field``'s ``ops``: a proxy set as ``active`` carries only
+the functions its tracer counts.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from .purepy import (  # noqa: F401  (re-exported constants and cold helpers)
     OP_OR,
     OP_VAR,
     find_modulus,
+    honest_message,
     is_irreducible,
 )
 

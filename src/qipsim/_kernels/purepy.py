@@ -9,6 +9,12 @@ Formula programs are flat postfix opcode streams evaluated by a stack machine,
 and round operators are parallel ``kinds``/``tvars`` int arrays; see the
 constants below. Flat int programs keep the kernels free of Python object
 graphs: no ``BoolExpr`` node or ``Field`` method is touched inside a loop.
+
+The honest prover's message comes from ``honest_message``: one walk of the
+operator suffix with the round variable held as a polynomial, so it needs no
+point evaluation and no interpolation. ``interpolate`` serves the sweep,
+which checks those messages by point evaluation, and
+``Field.poly_interpolate``.
 """
 
 from __future__ import annotations
@@ -174,8 +180,8 @@ def interpolate(xs: Sequence[int], ys: Sequence[int], g: int, k: int) -> list[in
     return out
 
 
-# The honest prover's and the sweep's nodes are always range(npts), npts at
-# most a round's degree cap plus one, so they fill a few entries per (g, k).
+# The sweep's nodes are always range(npts), npts at most a round's degree
+# cap plus one, so they fill a few entries per (g, k).
 # An entry for n nodes holds n*n ints. Other node tuples, such as those of
 # ``Field.poly_interpolate``, share the rest, least recently used out first.
 _BASIS_CACHE_SIZE = 64
@@ -284,7 +290,8 @@ def quantified_value(
 
 # A memo of Boolean suffix values takes no entry past this size, so it stays
 # a few tens of MiB on any instance; it is a sixteenth of
-# sumcheck.MAX_PARTIAL_LEAVES, the most evaluations one message may make.
+# sumcheck.MAX_PARTIAL_LEAVES, the most evaluations one suffix walk at a
+# point may make.
 MEMO_MAX_ENTRIES = 1 << 18
 
 
@@ -331,6 +338,130 @@ def _boolean_value(
     if len(memo) < MEMO_MAX_ENTRIES:
         memo[key] = v
     return v
+
+
+# ---------------------------------------------------------------------------
+# The honest message as a polynomial in its round variable z. A value of the
+# walk is an int when it is free of z, else a sequence of coefficients,
+# lowest degree first. No sequence is changed once built, so values share
+# them freely.
+
+_Z = (0, 1)
+
+
+def _zadd(a, b):
+    if type(a) is int:
+        if type(b) is int:
+            return a ^ b
+        a, b = b, a
+    out = list(a)
+    if type(b) is int:
+        out[0] ^= b
+        return out
+    if len(b) > len(out):
+        out += [0] * (len(b) - len(out))
+    for i, c in enumerate(b):
+        out[i] ^= c
+    return out
+
+
+def _zmul(a, b, g: int, k: int):
+    """a*b: one multiply per coefficient against an int, none against 0/1."""
+    if type(a) is int:
+        if type(b) is int:
+            return gf_mul(a, b, g, k)
+        a, b = b, a
+    if type(b) is int:
+        if b <= 1:
+            return a if b else 0
+        return [gf_mul(c, b, g, k) for c in a]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] ^= gf_mul(x, y, g, k)
+    return out
+
+
+def _z_formula(prog: Sequence[int], assign: Sequence[int], t: int, g: int, k: int):
+    """``eval_formula`` with variable t held as z."""
+    stack: list = []
+    for pos in range(0, len(prog), 2):
+        op = prog[pos]
+        arg = prog[pos + 1]
+        if op == OP_VAR:
+            stack.append(_Z if arg == t else assign[arg])
+        elif op == OP_NOT:
+            stack[-1] = _zadd(stack[-1], 1)
+        elif op == OP_AND:
+            b = stack.pop()
+            stack[-1] = _zmul(stack[-1], b, g, k)
+        else:
+            b = stack.pop()
+            a = stack[-1]
+            stack[-1] = _zadd(_zadd(a, b), _zmul(a, b, g, k))
+    return stack[-1]
+
+
+def _z_suffix(kinds, tvars, start, t, prog, assign, g, k, memo):
+    """``quantified_value`` of kinds[start:] with x_t held as z, down to the
+    first reduce round on x_t (no quantifier round on x_t follows round j).
+    There x_t is set to 0 and to 1, which leaves the rest of the chain free
+    of z, and the scalar walk takes over with ``memo``."""
+    n = len(kinds)
+    while (start < n and kinds[start] == K_REDUCE and tvars[start] != t
+           and assign[tvars[start]] <= 1):
+        start += 1
+    if start == n:
+        return _z_formula(prog, assign, t, g, k)
+    s = tvars[start]
+    old = assign[s]
+    assign[s] = 0
+    if s == t:
+        v0 = quantified_value(kinds, tvars, start + 1, prog, assign, g, k, memo)
+        assign[t] = 1
+        v1 = quantified_value(kinds, tvars, start + 1, prog, assign, g, k, memo)
+        assign[t] = old
+        return [v0, v0 ^ v1]  # (1+z)*v0 + z*v1
+    p0 = _z_suffix(kinds, tvars, start + 1, t, prog, assign, g, k, memo)
+    assign[s] = 1
+    p1 = _z_suffix(kinds, tvars, start + 1, t, prog, assign, g, k, memo)
+    assign[s] = old
+    kind = kinds[start]
+    if type(p0) is int and type(p1) is int:
+        return combine(kind, old, p0, p1, g, k)
+    if kind == K_FORALL:
+        return _zmul(p0, p1, g, k)
+    if kind == K_EXISTS:
+        return _zadd(_zadd(p0, p1), _zmul(p0, p1, g, k))
+    return _zadd(p0, _zmul(old, _zadd(p0, p1), g, k))
+
+
+def honest_message(kinds: Sequence[int], tvars: Sequence[int], start: int,
+                   prog: Sequence[int], assign: list[int], npts: int, g: int, k: int,
+                   memo: dict[int, int]) -> list[int]:
+    """The honest message of round ``start`` (1-based): the value of the
+    suffix kinds[start:] as npts coefficients of a polynomial in the round
+    variable z = x_t, t = tvars[start - 1], from one walk of the suffix with
+    x_t held as z. assign is scratch, and its entry for x_t is ignored.
+
+    The degree reductions keep the degree in z within the round's cap d, so
+    with npts = d + 1 this is the interpolant through z < npts. With
+    npts = |F| < d + 1, z^|F| = z folds it to the representative of least
+    degree, the one that agrees with it on all of F.
+
+    Work: with a fresh ``memo``, the walk makes as many formula evaluations
+    as ``quantified_value`` at z = npts - 1 (``sumcheck._suffix_evaluations``)
+    when npts >= 3, and at most twice as many when npts = 2, where z = 1 is
+    Boolean and skips the reduce round on x_t that the walk branches on:
+    never more than the npts point walks it replaces."""
+    p = _z_suffix(kinds, tvars, start, tvars[start - 1], prog, assign, g, k, memo)
+    out = [0] * npts
+    period = (1 << k) - 1
+    for e, c in enumerate((p,) if type(p) is int else p):
+        if c:
+            out[(e - 1) % period + 1 if e > period else e] ^= c
+    return out
 
 
 def honest_sweep(

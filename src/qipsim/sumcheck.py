@@ -9,7 +9,11 @@ N = n(n+1)/2 + n rounds:
 
 ``build_schedule`` compiles this chain and the matrix once, into the
 kernels' int encoding (``RoundSchedule``): the verifier, the honest prover,
-the sweep and the cheater search all read that one program.
+the sweep and the cheater search all read that one program. The honest
+prover computes each message as a polynomial in its round variable, in one
+walk of the suffix (``_kernels.honest_message``); the sweep evaluates the
+suffix point by point and interpolates, so it checks those messages
+independently.
 
 Round j: the prover sends coefficients f_j (degree capped per round), the
 verifier combines f_j(0) and f_j(1) with the round operator's rule and
@@ -156,9 +160,12 @@ def correct_polynomial(
     memo: dict[int, int] | None = None,
 ) -> UniPoly:
     """The honest round-j message: the suffix value as a polynomial in the
-    round variable, interpolated from min(d_j + 1, |F|) abscissae. When the
-    field is smaller than the degree cap this is the minimal-degree
-    representative agreeing on all of F, which every check evaluates.
+    round variable, min(d_j + 1, |F|) coefficients, computed in one walk of
+    the suffix with the round variable held symbolic
+    (``_kernels.honest_message``). It equals the interpolant through
+    z < min(d_j + 1, |F|): when the field is smaller than the degree cap,
+    the minimal-degree representative agreeing on all of F, which every
+    check evaluates.
 
     ``memo`` holds suffix values at Boolean points (see
     ``_kernels.purepy._boolean_value``). A caller that asks for many
@@ -171,18 +178,15 @@ def correct_polynomial(
     assign = _prefix_assignment(schedule, q.n, r_prefix)
     t = schedule.tvars[j - 1]
     npts = min(schedule.degree_bounds[j - 1] + 1, field.order)
-    # The abscissae replace the round variable's value; the last one is
-    # non-Boolean whenever any is, so it makes the most evaluations.
+    # The guard counts the evaluations of the point walk at the last
+    # abscissa, non-Boolean whenever any is; the symbolic walk makes no more
+    # than the point walks at every abscissa together.
     assign[t] = npts - 1
     _check_suffix(schedule, field, j, assign)
     if memo is None:
         memo = {}
-    ys = []
-    for z in range(npts):
-        assign[t] = z
-        ys.append(field.ops.quantified_value(schedule.kinds, schedule.tvars, j, schedule.prog,
-                                             assign, field.g, field.k, memo))
-    return tuple(field.ops.interpolate(range(npts), ys, field.g, field.k))
+    return tuple(_kernels.honest_message(schedule.kinds, schedule.tvars, j, schedule.prog,
+                                         assign, npts, field.g, field.k, memo))
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +273,10 @@ class ProverPolicy(Protocol):
 
 
 class HonestPolicy:
-    """Replies with the correct polynomial every round. One memo of Boolean
-    suffix values serves every message and every run of the policy."""
+    """Replies with the correct polynomial every round, each from one
+    symbolic walk of the operator suffix (``correct_polynomial``). One memo
+    of Boolean suffix values serves every message and every run of the
+    policy."""
 
     def __init__(self, q: PrenexQbf, field: Field, schedule: RoundSchedule | None = None):
         self.q = q

@@ -113,6 +113,16 @@ def invocations() -> list[list[str]]:
             "A x1 E x2 A x3 E x4 A x5 E x6 A x7 E x8 : (x1 | x2) & (~x1 | ~x2) & (x3 | x4) "
             "& (~x3 | ~x4) & (x5 | x6) & (~x5 | ~x6) & (x7 | x8) & (~x7 | ~x8)",
             "--k", k, "--trials", "3")
+    # The benchmark's protocol shape: three variables, three 3-literal
+    # clauses, so every variable has degree 3 and the last block's messages
+    # are cubics.
+    for k in ("32", "64"):
+        add("classical", "run", "--formula",
+            "A x1 E x2 E x3 : (x1 | ~x2 | ~x3) & (x1 | x2 | x3) & (~x1 | ~x2 | x3)",
+            "--k", k, "--trials", "2", "--seed", "7")
+    # Degree 4 over the 4-element field: round 2's message folds z^4 = z.
+    for text in ("A x1 : x1 & x1 & x1 & x1", "E x1 : x1 & x1 & x1 & x1"):
+        add("classical", "run", "--formula", text, "--k", "2", "--trials", "8", "--seed", "1")
     # 2^23 formula evaluations behind round 1's message: refused.
     add("classical", "run", "--formula", _chain("A", 24, "x1 | ~x1"), "--k", "8")
 

@@ -165,6 +165,66 @@ def test_suffix_guard_counts_kernel_evaluations(inst):
         assert max(counts) == _suffix_evaluations(schedule, j, worst)
 
 
+@st.composite
+def _message_prefixes(draw):
+    """A generated formula, a field, a round j and a challenge prefix whose
+    entries are each independently Boolean or a random field element."""
+    q = draw(formulas(max_n=3))
+    field = Field(draw(st.sampled_from((1, 2, 3, 32))))
+    elem = st.one_of(st.sampled_from((0, 1)), st.integers(0, field.order - 1))
+    schedule = build_schedule(q)
+    j = draw(st.integers(1, schedule.n_rounds))
+    return q, schedule, field, j, tuple(draw(elem) for _ in range(j - 1))
+
+
+@given(_message_prefixes())
+def test_honest_message_work_bound(inst):
+    # with a fresh memo, the one symbolic walk makes as many formula
+    # evaluations (scalar and symbolic) as the guard counts at the last
+    # abscissa when npts >= 3, and at most twice as many when npts = 2
+    q, schedule, field, j, prefix = inst
+    with mock.patch.object(purepy, "eval_formula", wraps=purepy.eval_formula) as ev, \
+            mock.patch.object(purepy, "_z_formula", wraps=purepy._z_formula) as zev:
+        correct_polynomial(q, schedule, field, j, prefix)
+    walked = ev.call_count + zev.call_count
+    assign = [0] * q.n
+    for t, x in zip(schedule.tvars, prefix):
+        assign[t] = x
+    npts = min(schedule.degree_bounds[j - 1] + 1, field.order)
+    assign[schedule.tvars[j - 1]] = npts - 1
+    guard = _suffix_evaluations(schedule, j, assign)
+    event(f"npts {'>= 3' if npts >= 3 else 2}, ratio {walked / guard}")
+    if npts >= 3:
+        assert walked == guard
+    else:
+        assert guard <= walked <= 2 * guard
+
+
+@pytest.mark.parametrize("text, k", [("A x1 : x1 & x1 & x1", 1),
+                                     ("A x1 : x1 & x1 & x1 & x1", 2)])
+def test_honest_message_folds_past_the_field(text, k):
+    # the last round's degree cap reaches |F|, so its message is the suffix
+    # polynomial folded by z^|F| = z: the interpolant of the suffix values at
+    # every field element, for every round and every challenge prefix
+    q = parse_qbf(text)
+    field = Field(k)
+    schedule = build_schedule(q)
+    assert schedule.degree_bounds[-1] >= field.order
+    for j in range(1, schedule.n_rounds + 1):
+        t = schedule.tvars[j - 1]
+        npts = min(schedule.degree_bounds[j - 1] + 1, field.order)
+        for prefix in itertools.product(field.elements(), repeat=j - 1):
+            assign = [0] * q.n
+            for v, x in zip(schedule.tvars, prefix):
+                assign[v] = x
+            pts = []
+            for z in range(npts):
+                assign[t] = z
+                pts.append((z, partial_value(q, schedule, field, j, assign)))
+            assert correct_polynomial(q, schedule, field, j, prefix) == \
+                field.poly_interpolate(pts)
+
+
 def test_correct_polynomial_linear_example():
     # both rounds of (A x1 : x1) have honest message z
     f = Field(2)
