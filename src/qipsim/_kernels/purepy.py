@@ -3,7 +3,10 @@ evaluation.
 
 Field elements are plain ints whose bits hold GF(2) polynomial coefficients
 (bit i = coefficient of x^i). The modulus ``g`` always includes its leading
-x^k bit, so ``g.bit_length() == k+1``.
+x^k bit, so ``g.bit_length() == k+1``. Fields up to k = 8 multiply by table
+lookup; larger ones form the carry-less product from the hex digits of one
+operand and reduce it a byte at a time through per-field tables of byte
+residues, one path for every modulus (``_mulmod``).
 
 Formula programs are flat postfix opcode streams evaluated by a stack machine,
 and round operators are parallel ``kinds``/``tvars`` int arrays; see the
@@ -12,7 +15,9 @@ graphs: no ``BoolExpr`` node or ``Field`` method is touched inside a loop.
 
 The honest prover's message comes from ``honest_message``: one walk of the
 operator suffix with the round variable held as a polynomial, so it needs no
-point evaluation and no interpolation. ``interpolate`` serves the sweep,
+point evaluation and no interpolation. Where every other variable is 0 or 1,
+the walk's values depend on no challenge, and they share one memo with the
+scalar walk's values at Boolean points. ``interpolate`` serves the sweep,
 which checks those messages by point evaluation, and
 ``Field.poly_interpolate``.
 """
@@ -97,13 +102,14 @@ def find_modulus(k: int) -> int:
 
 
 def _mulmod(a: int, b: int, g: int, k: int) -> int:
-    """a*b mod g by a 4-bit comb. The window holds the carry-less products
-    a*h for the 16 polynomials h of degree < 4, so the product a*b is built
-    from b's nibbles, top first, as p = p*x^4 + window[nibble]. p then has
-    degree < 2k - 1, and its bits at x^k and above are cleared 4 at a time,
-    top first: XOR-ing in the multiple of g whose bits x^k..x^(k+3) are the
-    nibble h (``_reduction_table``), shifted into place, clears that nibble
-    and leaves p's residue mod g unchanged."""
+    """a*b mod g by a hex-digit comb and a byte-wise reduction. The window
+    holds the carry-less products a*h for the 16 polynomials h of degree
+    < 4, so the product a*b is built from b's hex digits, top first, as
+    p = p*x^4 + window[digit]. p then has degree < 2k - 1, so its part at
+    x^k and above, hi, has at most k - 1 bits. That part is cleared and
+    each byte of hi, the coefficients of x^(k+8i)..x^(k+8i+7), is replaced
+    by its residue mod g from row i of ``_byte_residues``; the lookups are
+    independent, and the sum keeps p's residue mod g."""
     a2 = a << 1
     a4 = a << 2
     a8 = a << 3
@@ -114,19 +120,33 @@ def _mulmod(a: int, b: int, g: int, k: int) -> int:
     p = 0
     for s in range((b.bit_length() - 1) & ~3, -1, -4):
         p = (p << 4) ^ window[(b >> s) & 15]
-    red = _reduction_table(g, k)
-    for s in range((p.bit_length() - k - 1) & ~3, -1, -4):
-        p ^= red[p >> (k + s)] << s
+    hi = p >> k
+    p ^= hi << k
+    for row in _byte_residues(g, k):
+        p ^= row[hi & 255]
+        hi >>= 8
     return p
 
 
-# 16 ints per (g, k), and a process multiplies in only a few fields; the
-# bound holds even for a caller that cycles through many moduli.
-@functools.lru_cache(maxsize=64)
-def _reduction_table(g: int, k: int) -> tuple[int, ...]:
-    """Entry h is h*x^k + (h*x^k mod g): the multiple of g whose bits at
-    x^k..x^(k+3) are the nibble h and whose other bits lie below x^k."""
-    return tuple((h << k) ^ _pdivmod(h << k, g)[1] for h in range(16))
+# 256 ints a row and ceil((k-1)/8) rows per (g, k), and a process multiplies
+# in only a few fields; the bound holds even for a caller that cycles
+# through many moduli.
+@functools.lru_cache(maxsize=16)
+def _byte_residues(g: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Row i, entry h is h*x^(k+8i) mod g, for the bytes h of a product's
+    part at x^k and above (at most k - 1 bits). Each row is built by XOR
+    from the residues of its 8 single bits, x^(k+8i+j) mod g."""
+    rows = []
+    r = g ^ (1 << k)  # x^k mod g
+    for _ in range((k + 6) // 8):
+        row = [0]
+        for _ in range(8):
+            row += [e ^ r for e in row]
+            r <<= 1
+            if r >> k:
+                r ^= g
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def _table(g: int, k: int) -> list[list[int]]:
@@ -255,7 +275,7 @@ def quantified_value(
     assign: list[int],
     g: int,
     k: int,
-    memo: dict[int, int],
+    memo: dict[int, int | Sequence[int]],
 ) -> int:
     """Value of the operator suffix kinds[start:] applied to the arithmetized
     formula, under the current assignment. assign is scratch: entries for the
@@ -288,7 +308,8 @@ def quantified_value(
     return combine(kinds[start], old, v0, v1, g, k)
 
 
-# A memo of Boolean suffix values takes no entry past this size, so it stays
+# A memo of suffix values at Boolean points, scalar (``_boolean_value``) and
+# symbolic (``_z_suffix``) alike, takes no entry past this size, so it stays
 # a few tens of MiB on any instance; it is a sixteenth of
 # sumcheck.MAX_PARTIAL_LEAVES, the most evaluations one suffix walk at a
 # point may make.
@@ -304,7 +325,7 @@ def _boolean_value(
     mask: int,
     g: int,
     k: int,
-    memo: dict[int, int],
+    memo: dict[int, int | Sequence[int]],
 ) -> int:
     """``quantified_value`` where every entry of assign is 0 or 1 (bit t of
     mask is assign[t]) and kinds[start] is a quantifier round or the end of
@@ -347,6 +368,9 @@ def _boolean_value(
 # them freely.
 
 _Z = (0, 1)
+# (1+z)*v0 + z*v1 for Boolean v0 and v1, shared by every memo entry that
+# holds one
+_EDGES = (((0, 0), (0, 1)), ((1, 1), (1, 0)))
 
 
 def _zadd(a, b):
@@ -403,43 +427,77 @@ def _z_formula(prog: Sequence[int], assign: Sequence[int], t: int, g: int, k: in
     return stack[-1]
 
 
-def _z_suffix(kinds, tvars, start, t, prog, assign, g, k, memo):
+def _z_suffix(kinds, tvars, start, t, prog, assign, mask, pending, g, k, memo):
     """``quantified_value`` of kinds[start:] with x_t held as z, down to the
     first reduce round on x_t (no quantifier round on x_t follows round j).
     There x_t is set to 0 and to 1, which leaves the rest of the chain free
-    of z, and the scalar walk takes over with ``memo``."""
+    of z, and the scalar walk takes over with ``memo``: ``_boolean_value``
+    when every variable is then 0 or 1, else ``quantified_value``.
+
+    ``pending`` counts the variables other than x_t that hold neither 0 nor
+    1, and bit s of ``mask`` is assign[s] for the others. With none pending
+    the value depends only on (start, t, mask), not on any challenge, so it
+    is read from and stored in ``memo`` under a negative key, apart from
+    ``_boolean_value``'s, and within the same MEMO_MAX_ENTRIES."""
     n = len(kinds)
     while (start < n and kinds[start] == K_REDUCE and tvars[start] != t
            and assign[tvars[start]] <= 1):
         start += 1
+    if not pending:
+        key = ~((mask * len(assign) + t) * (n + 1) + start)
+        v = memo.get(key)
+        if v is not None:
+            return v
     if start == n:
-        return _z_formula(prog, assign, t, g, k)
-    s = tvars[start]
-    old = assign[s]
-    assign[s] = 0
-    if s == t:
-        v0 = quantified_value(kinds, tvars, start + 1, prog, assign, g, k, memo)
-        assign[t] = 1
-        v1 = quantified_value(kinds, tvars, start + 1, prog, assign, g, k, memo)
-        assign[t] = old
-        return [v0, v0 ^ v1]  # (1+z)*v0 + z*v1
-    p0 = _z_suffix(kinds, tvars, start + 1, t, prog, assign, g, k, memo)
-    assign[s] = 1
-    p1 = _z_suffix(kinds, tvars, start + 1, t, prog, assign, g, k, memo)
-    assign[s] = old
-    kind = kinds[start]
-    if type(p0) is int and type(p1) is int:
-        return combine(kind, old, p0, p1, g, k)
-    if kind == K_FORALL:
-        return _zmul(p0, p1, g, k)
-    if kind == K_EXISTS:
-        return _zadd(_zadd(p0, p1), _zmul(p0, p1, g, k))
-    return _zadd(p0, _zmul(old, _zadd(p0, p1), g, k))
+        v = _z_formula(prog, assign, t, g, k)
+    else:
+        s = tvars[start]
+        old = assign[s]
+        assign[s] = 0
+        if s == t:
+            if pending:
+                v0 = quantified_value(kinds, tvars, start + 1, prog, assign, g, k, memo)
+                assign[t] = 1
+                v1 = quantified_value(kinds, tvars, start + 1, prog, assign, g, k, memo)
+                v = [v0, v0 ^ v1]  # (1+z)*v0 + z*v1
+            else:
+                # every variable is Boolean now, so every reduce round is
+                # skipped and the mask is known: no scan of assign is needed
+                nxt = start + 1
+                while nxt < n and kinds[nxt] == K_REDUCE:
+                    nxt += 1
+                v0 = _boolean_value(kinds, tvars, nxt, prog, assign, mask, g, k, memo)
+                assign[t] = 1
+                v1 = _boolean_value(kinds, tvars, nxt, prog, assign, mask | 1 << t, g, k,
+                                    memo)
+                v = _EDGES[v0][v1]
+            assign[t] = old
+        else:
+            bit = 1 << s
+            rest = pending - (old > 1)
+            p0 = _z_suffix(kinds, tvars, start + 1, t, prog, assign, mask & ~bit, rest,
+                           g, k, memo)
+            assign[s] = 1
+            p1 = _z_suffix(kinds, tvars, start + 1, t, prog, assign, mask | bit, rest,
+                           g, k, memo)
+            assign[s] = old
+            kind = kinds[start]
+            if type(p0) is int and type(p1) is int:
+                v = combine(kind, old, p0, p1, g, k)
+            elif kind == K_FORALL:
+                v = _zmul(p0, p1, g, k)
+            elif kind == K_EXISTS:
+                v = _zadd(_zadd(p0, p1), _zmul(p0, p1, g, k))
+            else:
+                v = _zadd(p0, _zmul(old, _zadd(p0, p1), g, k))
+    if not pending and len(memo) < MEMO_MAX_ENTRIES:
+        memo[key] = v
+    return v
 
 
 def honest_message(kinds: Sequence[int], tvars: Sequence[int], start: int,
                    prog: Sequence[int], assign: list[int], npts: int, g: int, k: int,
-                   memo: dict[int, int]) -> list[int]:
+                   memo: dict[int, int | Sequence[int]]) -> list[int]:
     """The honest message of round ``start`` (1-based): the value of the
     suffix kinds[start:] as npts coefficients of a polynomial in the round
     variable z = x_t, t = tvars[start - 1], from one walk of the suffix with
@@ -455,7 +513,15 @@ def honest_message(kinds: Sequence[int], tvars: Sequence[int], start: int,
     when npts >= 3, and at most twice as many when npts = 2, where z = 1 is
     Boolean and skips the reduce round on x_t that the walk branches on:
     never more than the npts point walks it replaces."""
-    p = _z_suffix(kinds, tvars, start, tvars[start - 1], prog, assign, g, k, memo)
+    t = tvars[start - 1]
+    mask = pending = 0
+    for s, a in enumerate(assign):
+        if s != t:
+            if a > 1:
+                pending += 1
+            else:
+                mask |= a << s
+    p = _z_suffix(kinds, tvars, start, t, prog, assign, mask, pending, g, k, memo)
     out = [0] * npts
     period = (1 << k) - 1
     for e, c in enumerate((p,) if type(p) is int else p):
@@ -485,7 +551,7 @@ def honest_sweep(
     Boolean suffix values serves the whole sweep."""
     size = 1 << k
     assign = [0] * nvars
-    memo: dict[int, int] = {}
+    memo: dict[int, int | Sequence[int]] = {}
     if quantified_value(kinds, tvars, 0, prog, assign, g, k, memo) != 1:
         return False
     for j, t in enumerate(tvars):

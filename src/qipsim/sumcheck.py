@@ -39,6 +39,8 @@ prover and the sweep run without loading it.
 
 from __future__ import annotations
 
+import functools
+import operator
 import random
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -118,7 +120,9 @@ def _check_suffix(schedule: RoundSchedule, field: Field, j: int,
     after round j at this assignment."""
     for a in assignment:
         field.check(a)
-    if _suffix_evaluations(schedule, j, assignment) > MAX_PARTIAL_LEAVES:
+    # the count never exceeds 2^(N-j), so a shorter suffix needs no count
+    if ((1 << (schedule.n_rounds - j)) > MAX_PARTIAL_LEAVES
+            and _suffix_evaluations(schedule, j, assignment) > MAX_PARTIAL_LEAVES):
         raise ProtocolSizeError("operator suffix too deep for exact evaluation")
 
 
@@ -157,7 +161,7 @@ def correct_polynomial(
     field: Field,
     j: int,
     r_prefix: Sequence[int],
-    memo: dict[int, int] | None = None,
+    memo: dict[int, int | Sequence[int]] | None = None,
 ) -> UniPoly:
     """The honest round-j message: the suffix value as a polynomial in the
     round variable, min(d_j + 1, |F|) coefficients, computed in one walk of
@@ -167,10 +171,14 @@ def correct_polynomial(
     the minimal-degree representative agreeing on all of F, which every
     check evaluates.
 
-    ``memo`` holds suffix values at Boolean points (see
-    ``_kernels.purepy._boolean_value``). A caller that asks for many
-    messages of one instance passes the same dict each time; without one,
-    the call uses a fresh dict."""
+    ``memo`` holds suffix values at Boolean points: the scalar ones of
+    ``_kernels.purepy._boolean_value``, and the symbolic ones of
+    ``_kernels.purepy._z_suffix``, the suffix as a polynomial in the round
+    variable where every other variable is 0 or 1. Neither depends on a
+    challenge, so a later message reads every sub-walk that reaches such a
+    point from it. A caller that asks for many messages of one instance
+    passes the same dict each time; without one, the call uses a fresh
+    dict."""
     if not 1 <= j <= schedule.n_rounds:
         raise ValueError(f"round index {j} outside 1..{schedule.n_rounds}")
     if len(r_prefix) != j - 1:
@@ -275,14 +283,14 @@ class ProverPolicy(Protocol):
 class HonestPolicy:
     """Replies with the correct polynomial every round, each from one
     symbolic walk of the operator suffix (``correct_polynomial``). One memo
-    of Boolean suffix values serves every message and every run of the
-    policy."""
+    of suffix values at Boolean points, scalar and symbolic, serves every
+    message and every run of the policy."""
 
     def __init__(self, q: PrenexQbf, field: Field, schedule: RoundSchedule | None = None):
         self.q = q
         self.field = field
         self.schedule = schedule or build_schedule(q)
-        self._memo: dict[int, int] = {}
+        self._memo: dict[int, int | Sequence[int]] = {}
 
     def next_poly(self, j, r_prefix, sent):
         return correct_polynomial(self.q, self.schedule, self.field, j, r_prefix, self._memo)
@@ -339,10 +347,9 @@ def _verify(q: PrenexQbf, schedule: RoundSchedule, field: Field,
             return reject(j, "degree bound exceeded")
         if not all(0 <= c < field.order for c in fj):
             return reject(j, "message not over the field")
-        # fj is checked, so the kernel evaluates it; at 0 and 1 no multiply
-        # reaches the table or the comb
-        f0 = field.ops.poly_eval(fj, 0, field.g, field.k)
-        f1 = field.ops.poly_eval(fj, 1, field.g, field.k)
+        # f(0) is the constant coefficient, f(1) the sum of them all
+        f0 = fj[0] if fj else 0
+        f1 = functools.reduce(operator.xor, fj, 0)
         if _kernels.combine(kind, assign[t], f0, f1, field.g, field.k) != v:
             return reject(j)
         rj = field.check(r_seq[j - 1])
@@ -620,14 +627,15 @@ class TranscriptOracle:
     """Memoized honest messages. Round j's message depends only on the
     challenges r_1..r_{j-1}, so ``_rows`` holds one message per challenge
     prefix, and rows that share a prefix share its messages. ``_memo``
-    holds the suffix values at Boolean points that every message shares."""
+    holds the suffix values at Boolean points, scalar and symbolic, that
+    every message shares."""
 
     def __init__(self, q: PrenexQbf, field: Field, schedule: RoundSchedule | None = None):
         self.q = q
         self.field = field
         self.schedule = schedule or build_schedule(q)
         self._rows: dict[tuple[int, ...], UniPoly] = {}
-        self._memo: dict[int, int] = {}
+        self._memo: dict[int, int | Sequence[int]] = {}
 
     def correct_row(self, r_row: tuple[int, ...]) -> tuple[UniPoly, ...]:
         n_rounds = self.schedule.n_rounds

@@ -82,14 +82,28 @@ def _operands(rng, k, count):
         (rng.getrandbits(k), rng.getrandbits(k)) for _ in range(count)]
 
 
+def _reciprocal(g, k):
+    """x^k g(1/x): g's coefficients reversed, irreducible when g is.
+    find_modulus(k) has a tail of low degree, so its reciprocal has one of
+    high degree (k - 1 for k = 9, 13, 16, 33, 63 and 64), whose residues
+    fill the bits below x^k."""
+    return int(format(g, "b")[::-1], 2)
+
+
 def test_mul_parity():
-    # odd k and k that straddle a nibble probe the comb's partial top nibble
-    # and the reduction table's edges
+    # odd k and k that straddle a hex digit or a byte probe the comb's
+    # partial top digit and the top row of the byte residues, which the
+    # part of a product at x^k and above fills only partly; the reciprocal
+    # moduli give dense residues in every row
     rng = random.Random(1)
     for k in (2, 3, 8, 9, 13, 16, 17, 31, 32, 33, 63, 64):
-        g = find_modulus(k)
-        for a, b in _operands(rng, k, 500):
-            assert purepy.gf_mul(a, b, g, k) == ref_mul(a, b, g)
+        moduli = [find_modulus(k)]
+        if k > 8:
+            moduli.append(_reciprocal(moduli[0], k))
+            assert purepy.is_irreducible(moduli[1], k)
+        for g in moduli:
+            for a, b in _operands(rng, k, 500):
+                assert purepy.gf_mul(a, b, g, k) == ref_mul(a, b, g)
 
 
 def test_inv_parity():

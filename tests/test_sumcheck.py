@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -14,6 +15,7 @@ from cheater_oracle import combine
 from strategies import formulas
 from sweep_oracle import oracle_always_accepts
 from test_acceptance import CORPUS
+from test_kernels import ref_formula, ref_horner, ref_mul
 from qipsim._kernels import K_EXISTS, K_FORALL, K_REDUCE, purepy
 from qipsim.gf2k import Field, poly_degree, poly_trim
 from qipsim.qbf import arith_eval, compile_matrix, eval_qbf, parse_qbf
@@ -331,26 +333,40 @@ def test_boolean_memo_matches_memo_free_paths(inst):
                 assign[t] = z
                 pts.append((z, partial_value(q, schedule, field, j, assign)))
             assert f[j - 1] == field.poly_interpolate(pts)
-    # a stored state is the quantifier round of some x_i with x_1..x_(i-1)
-    # Boolean and the later variables 0 (fewer than 2^n of them), or the end
-    # of the chain with every variable Boolean (2^n)
+    # a stored Boolean state (key >= 0) is the quantifier round of some x_i
+    # with x_1..x_(i-1) Boolean and the later variables 0 (fewer than 2^n
+    # of them), or the end of the chain with every variable Boolean (2^n);
+    # a stored symbolic state (key < 0) is a round position in 0..N, the
+    # round variable x_t and the 0/1 values of the n - 1 others
+    n_rounds = schedule.n_rounds
     for memo in (policy._memo, oracle._memo):
-        assert 0 < len(memo) < 2 ** (q.n + 1)
+        boolean = [key for key in memo if key >= 0]
+        symbolic = [~key for key in memo if key < 0]
+        assert 0 < len(boolean) < 2 ** (q.n + 1)
+        assert 0 < len(symbolic) <= (n_rounds + 1) * q.n * 2 ** (q.n - 1)
+        for key in symbolic:
+            rest, start = divmod(key, n_rounds + 1)
+            mask, t = divmod(rest, q.n)
+            assert mask < 2 ** q.n and not mask >> t & 1
 
 
 def test_boolean_memo_stops_at_its_cap(monkeypatch):
-    # a full memo takes no new entry and every message stays the same
+    # a full memo takes no new entry and every message stays the same. Round
+    # 1 stores the 62 Boolean states before any symbolic one, so a cap of 3
+    # fills with Boolean states only, and one of 100 with both kinds
     assert purepy.MEMO_MAX_ENTRIES == MAX_PARTIAL_LEAVES >> 4
     q = parse_qbf("A x1 E x2 A x3 E x4 A x5 : (x1 | x2) & (~x3 | x4 | x5)")
     field = Field(32)
     schedule = build_schedule(q)
     want = [run_protocol(q, field, HonestPolicy(q, field, schedule), s, schedule)
             for s in range(3)]
-    monkeypatch.setattr(purepy, "MEMO_MAX_ENTRIES", 3)
-    policy = HonestPolicy(q, field, schedule)
-    got = [run_protocol(q, field, policy, s, schedule) for s in range(3)]
-    assert got == want
-    assert len(policy._memo) == 3
+    for cap in (3, 100):
+        monkeypatch.setattr(purepy, "MEMO_MAX_ENTRIES", cap)
+        policy = HonestPolicy(q, field, schedule)
+        got = [run_protocol(q, field, policy, s, schedule) for s in range(3)]
+        assert got == want
+        assert len(policy._memo) == cap
+        assert sum(key < 0 for key in policy._memo) == max(0, cap - 62)
 
 
 def test_negative_seed_refused():
@@ -571,6 +587,81 @@ def test_verifier_loop_matches_reference(inst):
     tr = run_with_randomness(q, field, Replay(f), r, schedule)
     assert (tr.reject_round, tr.note, tr.accepted) == (reject_round, note, reject_round is None)
     assert tr.f == f[:n_read] and tr.r == r[:n_used]
+
+
+def slow_reject_round(q, schedule, g, k, r, f):
+    """``check_transcript`` written out on the reference arithmetic of
+    ``test_kernels``: f(0), f(1) and f(r_j) by Horner on ``ref_mul``, the
+    round rule from ``cheater_oracle`` and the matrix by tree recursion."""
+    ref = SimpleNamespace(mul=lambda a, b: ref_mul(a, b, g))
+    assign = [0] * q.n
+    v = 1
+    rounds = zip(schedule.kinds, schedule.tvars, schedule.degree_bounds, f, r)
+    for j, (kind, t, bound, fj, rj) in enumerate(rounds, 1):
+        if any(c for c in fj[bound + 1:]):
+            return j
+        if any(not 0 <= c < 1 << k for c in fj):
+            return j
+        f0, f1 = ref_horner(fj, 0, g), ref_horner(fj, 1, g)
+        if combine(kind, assign[t], f0, f1, ref) != v:
+            return j
+        assign[t] = rj
+        v = ref_horner(fj, rj, g)
+    if v != ref_formula(q.matrix, tuple(assign), g):
+        return schedule.n_rounds
+    return None
+
+
+DEGREE_THREE = parse_qbf("A x1 E x2 E x3 : (x1 | ~x2 | ~x3) & (x1 | x2 | x3) & (~x1 | ~x2 | x3)")
+
+
+@st.composite
+def slow_verifier_cases(draw):
+    """(how, q, field, schedule, r, f) at k in {2, 3, 32, 64}: the honest
+    messages for random challenges, as they are or with one round changed:
+    one coefficient perturbed, a nonzero coefficient past the degree cap, a
+    coefficient outside the field, no coefficients at all, the top ones cut
+    off, zeros appended past the cap, or random coefficients of any length
+    up to the cap's. The fixed formula's last rounds have degree cap 3."""
+    q = draw(formulas(max_n=3) | st.just(DEGREE_THREE))
+    field = Field(draw(st.sampled_from((2, 3, 32, 64))))
+    schedule = build_schedule(q)
+    elems = st.integers(0, field.order - 1)
+    r = tuple(draw(elems) for _ in range(schedule.n_rounds))
+    f = list(TranscriptOracle(q, field, schedule).correct_row(r))
+    j = draw(st.integers(1, schedule.n_rounds))
+    bound = schedule.degree_bounds[j - 1]
+    fj = list(f[j - 1])
+    how = draw(st.sampled_from(("honest", "perturbed", "over-degree", "outside", "empty",
+                                "cut", "padded", "random")))
+    if how == "perturbed":
+        fj[draw(st.integers(0, len(fj) - 1))] ^= draw(st.integers(1, field.order - 1))
+    elif how == "over-degree":
+        fj += [0] * (bound + 1 - len(fj)) + [draw(st.integers(1, field.order - 1))]
+    elif how == "outside":
+        fj[draw(st.integers(0, len(fj) - 1))] = draw(
+            st.integers(-2, -1) | st.integers(field.order, 2 * field.order))
+    elif how == "empty":
+        fj = []
+    elif how == "cut":
+        fj = fj[:draw(st.integers(1, len(fj) - 1))]
+    elif how == "padded":
+        fj += [0] * draw(st.integers(1, 3))
+    elif how == "random":
+        fj = draw(st.lists(elems, min_size=1, max_size=bound + 1))
+    f[j - 1] = tuple(fj)
+    return how, q, field, schedule, r, tuple(f)
+
+
+@settings(max_examples=120)
+@given(slow_verifier_cases())
+def test_check_transcript_matches_slow_verifier(inst):
+    # the verifier reads f(0) as the constant coefficient and f(1) as the
+    # sum of all of them; the slow verifier evaluates both by Horner
+    how, q, field, schedule, r, f = inst
+    want = slow_reject_round(q, schedule, field.g, field.k, r, f)
+    event(f"{how}, {'accepted' if want is None else 'rejected'}")
+    assert check_transcript(q, schedule, field, r, f) == want
 
 
 def test_transcript_accept_on_true():
