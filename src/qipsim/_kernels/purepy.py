@@ -309,10 +309,13 @@ def quantified_value(
 
 
 # A memo of suffix values at Boolean points, scalar (``_boolean_value``) and
-# symbolic (``_z_suffix``) alike, takes no entry past this size, so it stays
-# a few tens of MiB on any instance; it is a sixteenth of
-# sumcheck.MAX_PARTIAL_LEAVES, the most evaluations one suffix walk at a
-# point may make.
+# symbolic (``_z_suffix``) alike, takes no entry past this size; it is a
+# sixteenth of sumcheck.MAX_PARTIAL_LEAVES, the most evaluations one suffix
+# walk at a point may make. The cap counts entries, not bytes. A scalar
+# entry is 0 or 1. A symbolic entry is 0, 1 or a list of 0/1 coefficients
+# (every variable but the round variable is Boolean, so its arithmetic
+# stays in GF(2)), one more than its degree in the round variable, so its
+# size grows with how often that variable occurs in the formula.
 MEMO_MAX_ENTRIES = 1 << 18
 
 
@@ -368,9 +371,6 @@ def _boolean_value(
 # them freely.
 
 _Z = (0, 1)
-# (1+z)*v0 + z*v1 for Boolean v0 and v1, shared by every memo entry that
-# holds one
-_EDGES = (((0, 0), (0, 1)), ((1, 1), (1, 0)))
 
 
 def _zadd(a, b):
@@ -431,8 +431,7 @@ def _z_suffix(kinds, tvars, start, t, prog, assign, mask, pending, g, k, memo):
     """``quantified_value`` of kinds[start:] with x_t held as z, down to the
     first reduce round on x_t (no quantifier round on x_t follows round j).
     There x_t is set to 0 and to 1, which leaves the rest of the chain free
-    of z, and the scalar walk takes over with ``memo``: ``_boolean_value``
-    when every variable is then 0 or 1, else ``quantified_value``.
+    of z, and the scalar walk takes over with ``memo``.
 
     ``pending`` counts the variables other than x_t that hold neither 0 nor
     1, and bit s of ``mask`` is assign[s] for the others. With none pending
@@ -455,23 +454,11 @@ def _z_suffix(kinds, tvars, start, t, prog, assign, mask, pending, g, k, memo):
         old = assign[s]
         assign[s] = 0
         if s == t:
-            if pending:
-                v0 = quantified_value(kinds, tvars, start + 1, prog, assign, g, k, memo)
-                assign[t] = 1
-                v1 = quantified_value(kinds, tvars, start + 1, prog, assign, g, k, memo)
-                v = [v0, v0 ^ v1]  # (1+z)*v0 + z*v1
-            else:
-                # every variable is Boolean now, so every reduce round is
-                # skipped and the mask is known: no scan of assign is needed
-                nxt = start + 1
-                while nxt < n and kinds[nxt] == K_REDUCE:
-                    nxt += 1
-                v0 = _boolean_value(kinds, tvars, nxt, prog, assign, mask, g, k, memo)
-                assign[t] = 1
-                v1 = _boolean_value(kinds, tvars, nxt, prog, assign, mask | 1 << t, g, k,
-                                    memo)
-                v = _EDGES[v0][v1]
+            v0 = quantified_value(kinds, tvars, start + 1, prog, assign, g, k, memo)
+            assign[t] = 1
+            v1 = quantified_value(kinds, tvars, start + 1, prog, assign, g, k, memo)
             assign[t] = old
+            v = [v0, v0 ^ v1]  # (1+z)*v0 + z*v1
         else:
             bit = 1 << s
             rest = pending - (old > 1)
