@@ -13,13 +13,20 @@ and round operators are parallel ``kinds``/``tvars`` int arrays; see the
 constants below. Flat int programs keep the kernels free of Python object
 graphs: no ``BoolExpr`` node or ``Field`` method is touched inside a loop.
 
-The honest prover's message comes from ``honest_message``: one walk of the
-operator suffix with the round variable held as a polynomial, so it needs no
-point evaluation and no interpolation. Where every other variable is 0 or 1,
-the walk's values depend on no challenge, and they share one memo with the
-scalar walk's values at Boolean points. ``interpolate`` serves the sweep,
-which checks those messages by point evaluation, and
-``Field.poly_interpolate``.
+A partial value and an honest message are the same object, the value of
+an operator suffix, and one walk computes both (``_suffix``): at a point
+(``quantified_value``), or with the round variable held as a polynomial in
+z (``honest_message``), which needs no interpolation. ``_boolean_value``
+takes over where every variable is 0 or 1, and ``combine_on`` is the one
+round rule, the verifier's included.
+
+The sweep (``honest_sweep``) interpolates point values of the same walk
+(``interpolate``, which also serves ``Field.poly_interpolate``). It shares
+the walk and the round rule with the prover but none of its polynomial
+arithmetic (``_z_formula``, products of sequences, the fold past the
+field), so it checks completeness, not the messages ``honest_message``
+builds; the tests check those against a recursion that shares no code with
+this module.
 """
 
 from __future__ import annotations
@@ -97,8 +104,8 @@ def find_modulus(k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Hot kernels. ``combine`` runs the round rule on this module's multiply;
-# ``qipsim._kernels.combine`` runs it on the active one.
+# Hot kernels. ``qipsim._kernels.combine`` runs the round rule
+# (``combine_on``) on the active module's multiply.
 
 
 def _mulmod(a: int, b: int, g: int, k: int) -> int:
@@ -252,19 +259,30 @@ def eval_formula(prog: Sequence[int], assign: Sequence[int], g: int, k: int) -> 
     return stack[-1]
 
 
-def combine_on(gf_mul, kind: int, rho: int, f0: int, f1: int, g: int, k: int) -> int:
-    """The verifier's round rule on the given field multiply: the value f(0)
-    and f(1) must combine to when the round variable held rho. forall f0*f1,
-    exists f0+f1+f0*f1, reduce (1+rho)*f0 + rho*f1, computed with one
-    multiply as f0 + rho*(f0+f1) (characteristic 2: + is XOR)."""
+def combine_on(mul, kind: int, rho, f0, f1, g: int, k: int):
+    """The round rule on the given multiply: the value f(0) and f(1) must
+    combine to when the round variable held rho. forall f0*f1, exists
+    f0+f1+f0*f1, reduce (1+rho)*f0 + rho*f1, computed with one multiply as
+    f0 + rho*(f0+f1) (characteristic 2: + is XOR). The operands are field
+    elements, with ``gf_mul``, or polynomials in z, with ``_zmul``; + is
+    ``_zadd``, which is XOR on two ints."""
     if kind == K_FORALL:
-        return gf_mul(f0, f1, g, k)
+        return mul(f0, f1, g, k)
     if kind == K_EXISTS:
-        return f0 ^ f1 ^ gf_mul(f0, f1, g, k)
-    return f0 ^ gf_mul(rho, f0 ^ f1, g, k)
+        return _zadd(_zadd(f0, f1), mul(f0, f1, g, k))
+    return _zadd(f0, mul(rho, _zadd(f0, f1), g, k))
 
 
-combine = functools.partial(combine_on, gf_mul)
+def _split(assign: Sequence[int], t: int) -> tuple[int, int]:
+    """(mask, pending) of assign for ``_suffix``, x_t left out."""
+    mask = pending = 0
+    for s, a in enumerate(assign):
+        if s != t:
+            if a > 1:
+                pending += 1
+            else:
+                mask |= a << s
+    return mask, pending
 
 
 def quantified_value(
@@ -278,44 +296,23 @@ def quantified_value(
     memo: dict[int, int | Sequence[int]],
 ) -> int:
     """Value of the operator suffix kinds[start:] applied to the arithmetized
-    formula, under the current assignment. assign is scratch: entries for the
-    suffix's bound variables are overwritten and restored.
-
-    A reduce round whose variable already holds rho in {0, 1} is the next
-    suffix's value at rho, since (1+rho)*f0 + rho*f1 = f_rho there. So it
-    recurses once, with the variable left as it is, where other rounds
-    recurse twice.
-
-    Where every entry of assign is 0 or 1, ``_boolean_value`` takes over
-    with ``memo``, which serves one (kinds, tvars, prog) only."""
-    n = len(kinds)
-    while start < n and kinds[start] == K_REDUCE and assign[tvars[start]] <= 1:
-        start += 1
-    if max(assign, default=0) <= 1:
-        mask = 0
-        for t, a in enumerate(assign):
-            mask |= a << t
-        return _boolean_value(kinds, tvars, start, prog, assign, mask, g, k, memo)
-    if start == n:
-        return eval_formula(prog, assign, g, k)
-    t = tvars[start]
-    old = assign[t]
-    assign[t] = 0
-    v0 = quantified_value(kinds, tvars, start + 1, prog, assign, g, k, memo)
-    assign[t] = 1
-    v1 = quantified_value(kinds, tvars, start + 1, prog, assign, g, k, memo)
-    assign[t] = old
-    return combine(kinds[start], old, v0, v1, g, k)
+    formula, under the current assignment: ``_suffix`` with no variable held
+    as z. assign is scratch: entries for the suffix's bound variables are
+    overwritten and restored. ``memo`` serves one (kinds, tvars, prog)
+    only."""
+    mask, pending = _split(assign, -1)
+    return _suffix(kinds, tvars, start, -1, prog, assign, mask, pending, g, k, memo)
 
 
 # A memo of suffix values at Boolean points, scalar (``_boolean_value``) and
-# symbolic (``_z_suffix``) alike, takes no entry past this size; it is a
-# sixteenth of sumcheck.MAX_PARTIAL_LEAVES, the most evaluations one suffix
-# walk at a point may make. The cap counts entries, not bytes. A scalar
-# entry is 0 or 1. A symbolic entry is 0, 1 or a list of 0/1 coefficients
-# (every variable but the round variable is Boolean, so its arithmetic
-# stays in GF(2)), one more than its degree in the round variable, so its
-# size grows with how often that variable occurs in the formula.
+# symbolic (``_suffix`` with x_t held as z) alike, takes no entry past this
+# size; it is a sixteenth of sumcheck.MAX_PARTIAL_LEAVES, the most
+# evaluations one suffix walk at a point may make. The cap counts entries,
+# not bytes. A scalar entry is 0 or 1. A symbolic entry is 0, 1 or a list of
+# 0/1 coefficients (every variable but the round variable is Boolean, so its
+# arithmetic stays in GF(2)), one more than its degree in the round
+# variable, so its size grows with how often that variable occurs in the
+# formula.
 MEMO_MAX_ENTRIES = 1 << 18
 
 
@@ -365,10 +362,9 @@ def _boolean_value(
 
 
 # ---------------------------------------------------------------------------
-# The honest message as a polynomial in its round variable z. A value of the
-# walk is an int when it is free of z, else a sequence of coefficients,
-# lowest degree first. No sequence is changed once built, so values share
-# them freely.
+# Polynomials in the round variable z. A value is an int when it is free of
+# z, else a sequence of coefficients, lowest degree first. No sequence is
+# changed once built, so values share them freely.
 
 _Z = (0, 1)
 
@@ -427,57 +423,54 @@ def _z_formula(prog: Sequence[int], assign: Sequence[int], t: int, g: int, k: in
     return stack[-1]
 
 
-def _z_suffix(kinds, tvars, start, t, prog, assign, mask, pending, g, k, memo):
-    """``quantified_value`` of kinds[start:] with x_t held as z, down to the
-    first reduce round on x_t (no quantifier round on x_t follows round j).
-    There x_t is set to 0 and to 1, which leaves the rest of the chain free
-    of z, and the scalar walk takes over with ``memo``.
+def _suffix(kinds, tvars, start, t, prog, assign, mask, pending, g, k, memo):
+    """The value of the operator suffix kinds[start:] under assign: a field
+    element when t < 0, else a polynomial in z = x_t, down to the first
+    reduce round on x_t (no quantifier round on x_t follows round j). There
+    x_t is set to 0 and to 1, which leaves the rest of the chain free of z,
+    and the walk goes on with t < 0. assign is scratch, restored on return.
 
     ``pending`` counts the variables other than x_t that hold neither 0 nor
-    1, and bit s of ``mask`` is assign[s] for the others. With none pending
-    the value depends only on (start, t, mask), not on any challenge, so it
-    is read from and stored in ``memo`` under a negative key, apart from
-    ``_boolean_value``'s, and within the same MEMO_MAX_ENTRIES."""
+    1, and bit s of ``mask`` is assign[s] for the others. A reduce round
+    whose variable holds rho in {0, 1} is the next suffix's value at rho,
+    since (1+rho)*f0 + rho*f1 = f_rho there, so it is skipped; other rounds
+    branch on their variable and combine the branches (``combine_on``).
+
+    With none pending, the value depends only on (start, t, mask), not on
+    any challenge. With t < 0, ``_boolean_value`` takes over with ``memo``.
+    With t >= 0, it is read from and stored in ``memo`` under a negative
+    key, apart from ``_boolean_value``'s, and within the same
+    MEMO_MAX_ENTRIES."""
     n = len(kinds)
     while (start < n and kinds[start] == K_REDUCE and tvars[start] != t
            and assign[tvars[start]] <= 1):
         start += 1
     if not pending:
+        if t < 0:
+            return _boolean_value(kinds, tvars, start, prog, assign, mask, g, k, memo)
         key = ~((mask * len(assign) + t) * (n + 1) + start)
         v = memo.get(key)
         if v is not None:
             return v
     if start == n:
-        v = _z_formula(prog, assign, t, g, k)
+        v = eval_formula(prog, assign, g, k) if t < 0 else _z_formula(prog, assign, t, g, k)
     else:
         s = tvars[start]
         old = assign[s]
-        assign[s] = 0
-        if s == t:
-            v0 = quantified_value(kinds, tvars, start + 1, prog, assign, g, k, memo)
-            assign[t] = 1
-            v1 = quantified_value(kinds, tvars, start + 1, prog, assign, g, k, memo)
-            assign[t] = old
-            v = [v0, v0 ^ v1]  # (1+z)*v0 + z*v1
+        bit = 1 << s
+        if s == t:  # (1+z)*v0 + z*v1
+            rho, sub, rest = _Z, -1, pending
         else:
-            bit = 1 << s
-            rest = pending - (old > 1)
-            p0 = _z_suffix(kinds, tvars, start + 1, t, prog, assign, mask & ~bit, rest,
-                           g, k, memo)
-            assign[s] = 1
-            p1 = _z_suffix(kinds, tvars, start + 1, t, prog, assign, mask | bit, rest,
-                           g, k, memo)
-            assign[s] = old
-            kind = kinds[start]
-            if type(p0) is int and type(p1) is int:
-                v = combine(kind, old, p0, p1, g, k)
-            elif kind == K_FORALL:
-                v = _zmul(p0, p1, g, k)
-            elif kind == K_EXISTS:
-                v = _zadd(_zadd(p0, p1), _zmul(p0, p1, g, k))
-            else:
-                v = _zadd(p0, _zmul(old, _zadd(p0, p1), g, k))
-    if not pending and len(memo) < MEMO_MAX_ENTRIES:
+            rho, sub, rest = old, t, pending - (old > 1)
+        assign[s] = 0
+        v0 = _suffix(kinds, tvars, start + 1, sub, prog, assign, mask & ~bit, rest,
+                     g, k, memo)
+        assign[s] = 1
+        v1 = _suffix(kinds, tvars, start + 1, sub, prog, assign, mask | bit, rest,
+                     g, k, memo)
+        assign[s] = old
+        v = combine_on(_zmul, kinds[start], rho, v0, v1, g, k)
+    if t >= 0 and not pending and len(memo) < MEMO_MAX_ENTRIES:
         memo[key] = v
     return v
 
@@ -488,7 +481,8 @@ def honest_message(kinds: Sequence[int], tvars: Sequence[int], start: int,
     """The honest message of round ``start`` (1-based): the value of the
     suffix kinds[start:] as npts coefficients of a polynomial in the round
     variable z = x_t, t = tvars[start - 1], from one walk of the suffix with
-    x_t held as z. assign is scratch, and its entry for x_t is ignored.
+    x_t held as z (``_suffix``). assign is scratch, and its entry for x_t is
+    ignored.
 
     The degree reductions keep the degree in z within the round's cap d, so
     with npts = d + 1 this is the interpolant through z < npts. With
@@ -501,14 +495,8 @@ def honest_message(kinds: Sequence[int], tvars: Sequence[int], start: int,
     Boolean and skips the reduce round on x_t that the walk branches on:
     never more than the npts point walks it replaces."""
     t = tvars[start - 1]
-    mask = pending = 0
-    for s, a in enumerate(assign):
-        if s != t:
-            if a > 1:
-                pending += 1
-            else:
-                mask |= a << s
-    p = _z_suffix(kinds, tvars, start, t, prog, assign, mask, pending, g, k, memo)
+    mask, pending = _split(assign, t)
+    p = _suffix(kinds, tvars, start, t, prog, assign, mask, pending, g, k, memo)
     out = [0] * npts
     period = (1 << k) - 1
     for e, c in enumerate((p,) if type(p) is int else p):

@@ -9,6 +9,7 @@ degree first; trailing zeros are permitted and ignored by degree logic.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable, Sequence
 
 from . import _kernels
@@ -62,31 +63,32 @@ class Field:
         return hash((self.k, self.g))
 
     def check(self, a: int) -> int:
-        if not 0 <= a < self.order:
+        """a as a Python int, or ValueError when it is not an integer in
+        [0, 2^k): an integer type such as numpy's comes back as the int the
+        kernels need, and a float is refused even when integral."""
+        try:
+            i = operator.index(a)
+        except TypeError:
+            raise ValueError(f"{a!r} is not an element of GF(2^{self.k})") from None
+        if not 0 <= i < self.order:
             raise ValueError(f"{a} is not an element of GF(2^{self.k})")
-        return a
+        return i
 
     def elements(self) -> range:
         return range(self.order)
 
     def add(self, a: int, b: int) -> int:
-        self.check(a)
-        self.check(b)
-        return a ^ b
+        return self.check(a) ^ self.check(b)
 
     def mul(self, a: int, b: int) -> int:
-        self.check(a)
-        self.check(b)
-        return self.ops.gf_mul(a, b, self.g, self.k)
+        return self.ops.gf_mul(self.check(a), self.check(b), self.g, self.k)
 
     def inv(self, a: int) -> int:
-        self.check(a)
-        return self.ops.gf_inv(a, self.g, self.k)
+        return self.ops.gf_inv(self.check(a), self.g, self.k)
 
     def poly_eval(self, coeffs: Sequence[int], z: int) -> int:
-        self.check(z)
-        for c in coeffs:
-            self.check(c)
+        z = self.check(z)
+        coeffs = [self.check(c) for c in coeffs]
         return self.ops.poly_eval(coeffs, z, self.g, self.k)
 
     def poly_interpolate(self, points: Iterable[tuple[int, int]]) -> UniPoly:
@@ -95,10 +97,8 @@ class Field:
         xs: list[int] = []
         ys: list[int] = []
         for x, y in points:
-            self.check(x)
-            self.check(y)
-            xs.append(x)
-            ys.append(y)
+            xs.append(self.check(x))
+            ys.append(self.check(y))
         if len(set(xs)) != len(xs):
             raise ValueError("interpolation points must have distinct x values")
         if not xs:

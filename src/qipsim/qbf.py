@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Union
 
 from . import _kernels
-from .gf2k import Field
 
 
 class QbfSyntaxError(ValueError):
@@ -271,15 +270,6 @@ def compile_matrix(e: BoolExpr) -> tuple[int, ...]:
 
     emit(e)
     return tuple(prog)
-
-
-def arith_eval(e: BoolExpr, assignment: Sequence[int], field: Field) -> int:
-    """Value of the arithmetized matrix at a field-element assignment."""
-    for a in assignment:
-        field.check(a)
-    return field.ops.eval_formula(
-        compile_matrix(e), tuple(assignment), field.g, field.k
-    )
 
 
 def degree_profile(q: PrenexQbf) -> tuple[tuple[int, ...], int]:

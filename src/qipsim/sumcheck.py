@@ -12,8 +12,11 @@ kernels' int encoding (``RoundSchedule``): the verifier, the honest prover,
 the sweep and the cheater search all read that one program. The honest
 prover computes each message as a polynomial in its round variable, in one
 walk of the suffix (``_kernels.honest_message``); the sweep evaluates the
-suffix point by point and interpolates, so it checks those messages
-independently.
+suffix point by point and interpolates. Both share one suffix walk and
+round rule with ``partial_value`` (``_kernels.purepy._suffix``), and the
+sweep uses none of the prover's polynomial arithmetic: it shows that
+messages interpolated from the walk's values are always accepted, and the
+tests show that the prover's messages are those interpolants.
 
 Round j: the prover sends coefficients f_j (degree capped per round), the
 verifier combines f_j(0) and f_j(1) with the round operator's rule and
@@ -115,15 +118,15 @@ def _suffix_evaluations(schedule: RoundSchedule, j: int, assignment: Sequence[in
 
 
 def _check_suffix(schedule: RoundSchedule, field: Field, j: int,
-                  assignment: Sequence[int]) -> None:
+                  assignment: Sequence[int]) -> list[int]:
     """The element checks and the size guard for evaluating the suffix
-    after round j at this assignment."""
-    for a in assignment:
-        field.check(a)
+    after round j at this assignment; returns the checked ints."""
+    assign = [field.check(a) for a in assignment]
     # the count never exceeds 2^(N-j), so a shorter suffix needs no count
     if ((1 << (schedule.n_rounds - j)) > MAX_PARTIAL_LEAVES
-            and _suffix_evaluations(schedule, j, assignment) > MAX_PARTIAL_LEAVES):
+            and _suffix_evaluations(schedule, j, assign) > MAX_PARTIAL_LEAVES):
         raise ProtocolSizeError("operator suffix too deep for exact evaluation")
+    return assign
 
 
 def partial_value(
@@ -143,9 +146,9 @@ def partial_value(
         raise ValueError(f"round index {j} outside 0..{n_rounds}")
     if len(assignment) != q.n:
         raise ValueError(f"assignment must have {q.n} entries")
-    _check_suffix(schedule, field, j, assignment)
+    assign = _check_suffix(schedule, field, j, assignment)
     return field.ops.quantified_value(schedule.kinds, schedule.tvars, j, schedule.prog,
-                                      list(assignment), field.g, field.k, {})
+                                      assign, field.g, field.k, {})
 
 
 def _prefix_assignment(schedule: RoundSchedule, n: int, r_prefix: Sequence[int]) -> list[int]:
@@ -173,7 +176,7 @@ def correct_polynomial(
 
     ``memo`` holds suffix values at Boolean points: the scalar ones of
     ``_kernels.purepy._boolean_value``, and the symbolic ones of
-    ``_kernels.purepy._z_suffix``, the suffix as a polynomial in the round
+    ``_kernels.purepy._suffix``, the suffix as a polynomial in the round
     variable where every other variable is 0 or 1. Neither depends on a
     challenge, so a later message reads every sub-walk that reaches such a
     point from it. A caller that asks for many messages of one instance
@@ -190,7 +193,7 @@ def correct_polynomial(
     # abscissa, non-Boolean whenever any is; the symbolic walk makes no more
     # than the point walks at every abscissa together.
     assign[t] = npts - 1
-    _check_suffix(schedule, field, j, assign)
+    assign = _check_suffix(schedule, field, j, assign)
     if memo is None:
         memo = {}
     return tuple(_kernels.honest_message(schedule.kinds, schedule.tvars, j, schedule.prog,
@@ -281,10 +284,11 @@ class ProverPolicy(Protocol):
 
 
 class HonestPolicy:
-    """Replies with the correct polynomial every round, each from one
-    symbolic walk of the operator suffix (``correct_polynomial``). One memo
-    of suffix values at Boolean points, scalar and symbolic, serves every
-    message and every run of the policy."""
+    """Replies with the correct polynomial every round, each from one walk
+    of the operator suffix with the round variable held symbolic
+    (``correct_polynomial``), the walk ``partial_value`` takes at a point.
+    One memo of suffix values at Boolean points, scalar and symbolic, serves
+    every message and every run of the policy."""
 
     def __init__(self, q: PrenexQbf, field: Field, schedule: RoundSchedule | None = None):
         self.q = q
@@ -345,6 +349,10 @@ def _verify(q: PrenexQbf, schedule: RoundSchedule, field: Field,
         sent.append(fj)
         if poly_degree(fj) > schedule.degree_bounds[j - 1]:
             return reject(j, "degree bound exceeded")
+        try:
+            fj = tuple(map(operator.index, fj))
+        except TypeError:
+            return reject(j, "message not over the field")
         if not all(0 <= c < field.order for c in fj):
             return reject(j, "message not over the field")
         # f(0) is the constant coefficient, f(1) the sum of them all
@@ -628,7 +636,7 @@ class TranscriptOracle:
     challenges r_1..r_{j-1}, so ``_rows`` holds one message per challenge
     prefix, and rows that share a prefix share its messages. ``_memo``
     holds the suffix values at Boolean points, scalar and symbolic, that
-    every message shares."""
+    every message's suffix walk (``correct_polynomial``) shares."""
 
     def __init__(self, q: PrenexQbf, field: Field, schedule: RoundSchedule | None = None):
         self.q = q

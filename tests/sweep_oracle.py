@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+from qipsim._kernels import combine
 from qipsim._kernels.purepy import (
-    combine,
     eval_formula,
     interpolate,
     poly_eval,

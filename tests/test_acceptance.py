@@ -24,7 +24,7 @@ from qipsim.bounds import (
 )
 from qipsim.gf2k import Field, poly_trim
 from qipsim._kernels import K_EXISTS, K_FORALL, find_modulus, is_irreducible
-from qipsim.qbf import arith_eval, eval_qbf, parse_qbf
+from qipsim.qbf import eval_qbf, parse_qbf
 from qipsim.quantum import (
     BiasedSupportProver,
     HonestProver,
@@ -183,7 +183,7 @@ def test_criterion_03_verifier_predicate_properties():
             for q in FALSE_N1 + TRUE_N1:
                 schedule = build_schedule(q)
                 d2 = schedule.degree_bounds[1]
-                matrix_vals = [arith_eval(q.matrix, [r2], fld)
+                matrix_vals = [fld.ops.eval_formula(schedule.prog, [r2], fld.g, fld.k)
                                for r2 in fld.elements()]
                 for r1 in fld.elements():
                     c2 = correct_polynomial(q, schedule, fld, 2, (r1,))

@@ -91,6 +91,29 @@ def test_element_range_checks():
         f.check(-1)
     with pytest.raises(ValueError):
         f.mul(1, 5)
+    # a float is no element, even an integral one in range
+    for bad in (2.0, "1", None):
+        with pytest.raises(ValueError):
+            f.check(bad)
+
+
+def test_numpy_integers_are_elements():
+    # check returns the Python int a numpy integer equals, and every method
+    # computes with it, on the table path (k = 4) and the comb (k = 32)
+    import numpy as np
+
+    rng = random.Random(9)
+    for k in (4, 32):
+        f = Field(k)
+        a, b = rng.getrandbits(k) | 1, rng.getrandbits(k)
+        na, nb = np.int64(a), np.uint64(b)
+        assert type(f.check(na)) is int and f.check(na) == a
+        assert f.add(na, nb) == f.add(a, b)
+        assert f.mul(na, nb) == f.mul(a, b)
+        assert f.inv(na) == f.inv(a)
+        assert f.poly_eval([na, nb], na) == f.poly_eval([a, b], a)
+        assert f.poly_interpolate([(np.int64(0), na), (np.int64(1), nb)]) == \
+            f.poly_interpolate([(0, a), (1, b)])
 
 
 def test_field_validation():

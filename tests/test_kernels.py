@@ -203,20 +203,48 @@ def test_combine_multiplies_through_active_backend(monkeypatch):
     for kind, muls in ((purepy.K_FORALL, 1), (purepy.K_EXISTS, 1), (purepy.K_REDUCE, 1)):
         calls.clear()
         got = qipsim._kernels.combine(kind, 5, 3, 6, f.g, f.k)
-        assert got == purepy.combine(kind, 5, 3, 6, f.g, f.k)
+        assert got == purepy.combine_on(purepy.gf_mul, kind, 5, 3, 6, f.g, f.k)
         assert len(calls) == muls
 
 
+def _ref_rule(kind, rho, f0, f1, g):
+    """The round rules in their textbook forms on ``ref_mul``; reduce is
+    (1+rho)*f0 + rho*f1."""
+    if kind == purepy.K_FORALL:
+        return ref_mul(f0, f1, g)
+    if kind == purepy.K_EXISTS:
+        return f0 ^ f1 ^ ref_mul(f0, f1, g)
+    return ref_mul(1 ^ rho, f0, g) ^ ref_mul(rho, f1, g)
+
+
+def _zpoly(rng, k):
+    """A value of the symbolic walk: an int, or a coefficient list of
+    length 1 to 4 whose entries are each 0, 1 or a random element."""
+    if rng.random() < 0.25:
+        return rng.getrandbits(k)
+    return [rng.choice((0, 1, rng.getrandbits(k))) for _ in range(rng.randint(1, 4))]
+
+
 def test_combine_parity():
-    # the round rules against their textbook forms on ``ref_mul``; reduce is
-    # (1+rho)*f0 + rho*f1, at Boolean and non-Boolean rho
+    # the round rules against their textbook forms on ``ref_mul``, at
+    # Boolean and non-Boolean rho; with polynomial operands and rho (the
+    # symbolic walk's case), the rule on ``_zmul`` at z is the scalar rule
+    # on the values at z
     rng = random.Random(5)
+    combine = qipsim._kernels.combine
     for k in (1, 2, 3, 8, 32, 64):
         g = find_modulus(k)
         for f0, f1 in _operands(rng, k, 60):
-            assert purepy.combine(purepy.K_FORALL, 0, f0, f1, g, k) == ref_mul(f0, f1, g)
-            assert purepy.combine(purepy.K_EXISTS, 0, f0, f1, g, k) == (
-                f0 ^ f1 ^ ref_mul(f0, f1, g))
+            for kind in (purepy.K_FORALL, purepy.K_EXISTS):
+                assert combine(kind, 0, f0, f1, g, k) == _ref_rule(kind, 0, f0, f1, g)
             for rho in {0, 1, (1 << k) - 1, rng.getrandbits(k)}:
-                assert purepy.combine(purepy.K_REDUCE, rho, f0, f1, g, k) == (
-                    ref_mul(1 ^ rho, f0, g) ^ ref_mul(rho, f1, g))
+                assert combine(purepy.K_REDUCE, rho, f0, f1, g, k) == (
+                    _ref_rule(purepy.K_REDUCE, rho, f0, f1, g))
+        for _ in range(40):
+            p0, p1, rho = _zpoly(rng, k), _zpoly(rng, k), _zpoly(rng, k)
+            for kind in (purepy.K_FORALL, purepy.K_EXISTS, purepy.K_REDUCE):
+                got = purepy.combine_on(purepy._zmul, kind, rho, p0, p1, g, k)
+                for z in {0, 1, (1 << k) - 1, rng.getrandbits(k)}:
+                    at = [v if type(v) is int else ref_horner(v, z, g) for v in (rho, p0, p1)]
+                    want = _ref_rule(kind, *at, g)
+                    assert (got if type(got) is int else ref_horner(got, z, g)) == want

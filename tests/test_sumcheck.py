@@ -15,10 +15,10 @@ from cheater_oracle import combine
 from strategies import formulas
 from sweep_oracle import oracle_always_accepts
 from test_acceptance import CORPUS
-from test_kernels import ref_formula, ref_horner, ref_mul
+from test_kernels import ref_formula, ref_horner, ref_mul, ref_quantified
 from qipsim._kernels import K_EXISTS, K_FORALL, K_REDUCE, purepy
 from qipsim.gf2k import Field, poly_degree, poly_trim
-from qipsim.qbf import arith_eval, compile_matrix, eval_qbf, parse_qbf
+from qipsim.qbf import compile_matrix, eval_qbf, parse_qbf
 from qipsim.sumcheck import (
     HonestPolicy,
     MAX_PARTIAL_LEAVES,
@@ -225,6 +225,72 @@ def test_honest_message_folds_past_the_field(text, k):
                 pts.append((z, partial_value(q, schedule, field, j, assign)))
             assert correct_polynomial(q, schedule, field, j, prefix) == \
                 field.poly_interpolate(pts)
+
+
+@st.composite
+def _challenge_rows(draw):
+    """A generated formula, a field width and N - 1 challenges, each
+    independently Boolean or a random field element."""
+    q = draw(formulas(max_n=3))
+    k = draw(st.sampled_from((1, 2, 3, 32)))
+    elem = st.one_of(st.sampled_from((0, 1)), st.integers(0, (1 << k) - 1))
+    return q, k, tuple(draw(elem) for _ in range(build_schedule(q).n_rounds - 1))
+
+
+@given(_challenge_rows())
+def test_honest_messages_match_reference_suffix(inst):
+    # every round's honest message at z is the suffix value with the round
+    # variable at z, by the test's own recursion on ref_mul (ref_quantified),
+    # which shares no code with the kernels: at every node when k <= 3, where
+    # a message folded past the field must still agree on all of F
+    q, k, row = inst
+    field = Field(k)
+    schedule = build_schedule(q)
+    rounds = list(zip(schedule.kinds, schedule.tvars))
+    for j in range(1, schedule.n_rounds + 1):
+        t = schedule.tvars[j - 1]
+        npts = min(schedule.degree_bounds[j - 1] + 1, field.order)
+        msg = correct_polynomial(q, schedule, field, j, row[: j - 1])
+        assert len(msg) == npts
+        assign = [0] * q.n
+        for v, x in zip(schedule.tvars, row[: j - 1]):
+            assign[v] = x
+        for z in field.elements() if k <= 3 else range(npts):
+            assign[t] = z
+            want = ref_quantified(q.matrix, rounds[j:], tuple(assign), field.g)
+            assert ref_horner(msg, z, field.g) == want
+
+
+def test_numpy_integers_read_as_python_ints():
+    # numpy integers are field elements like the Python ints they equal, in
+    # challenges, messages and assignments, on the table path (k = 4) and
+    # the comb (k = 32); a float is not one, even when integral
+    import numpy as np
+
+    q = parse_qbf("A x1 E x2 : (x1 | ~x2) & (~x1 | x2)")
+    s = build_schedule(q)
+    rng = random.Random(7)
+    for k in (4, 32):
+        f = Field(k)
+        r = tuple(rng.choice((0, 1, rng.getrandbits(k))) for _ in range(s.n_rounds))
+        honest = TranscriptOracle(q, f, s).correct_row(r)
+        cheat = honest[:2] + ((1, 1),) + honest[3:]
+        noise = tuple(tuple(rng.getrandbits(k) for _ in fj) for fj in honest)
+        for msgs in (honest, cheat, noise):
+            want = check_transcript(q, s, f, r, msgs)
+            got = check_transcript(q, s, f, tuple(map(np.int64, r)),
+                                   tuple(tuple(map(np.int64, fj)) for fj in msgs))
+            assert got == want
+        for j in range(s.n_rounds + 1):
+            point = [rng.choice((0, 1, rng.getrandbits(k))) for _ in range(q.n)]
+            assert partial_value(q, s, f, j, list(map(np.uint64, point))) == \
+                partial_value(q, s, f, j, point)
+            if j:
+                assert correct_polynomial(q, s, f, j, tuple(map(np.int64, r[: j - 1]))) == \
+                    correct_polynomial(q, s, f, j, r[: j - 1])
+        # round 1's message passes, then its challenge is refused
+        with pytest.raises(ValueError):
+            check_transcript(q, s, f, (2.0,) + r[1:], honest)
 
 
 def test_correct_polynomial_linear_example():
@@ -480,7 +546,7 @@ def test_run_with_randomness_notes():
     assert not tr.accepted and tr.reject_round == 1
 
 
-@pytest.mark.parametrize("msg", [(4,), (-1, 0)])
+@pytest.mark.parametrize("msg", [(4,), (-1, 0), (2.0,), (0.0, 1.0)])
 def test_message_outside_field_rejected(msg):
     # no k-bit register holds such a coefficient: a rejection, not an error
     q = parse_qbf("E x1 : x1")
@@ -540,7 +606,7 @@ def reference_verdict(q, schedule, field, r, f):
         assign[t] = r[j - 1]
         v = field.poly_eval(fj, r[j - 1])
     n_rounds = schedule.n_rounds
-    if v != arith_eval(q.matrix, assign, field):
+    if v != ref_formula(q.matrix, assign, field.g):
         return n_rounds, "final matrix check failed", n_rounds, n_rounds
     return None, None, n_rounds, n_rounds
 
