@@ -13,6 +13,8 @@ the functions its tracer counts.
 
 from __future__ import annotations
 
+import operator
+
 from . import purepy
 from .purepy import (  # noqa: F401  (re-exported constants and cold helpers)
     K_EXISTS,
@@ -32,6 +34,7 @@ backend_name: str = active.NAME
 
 
 def combine(kind: int, rho: int, f0: int, f1: int, g: int, k: int) -> int:
-    """``purepy.combine_on`` with ``active.gf_mul``, looked up per call so a
-    module set as ``active`` later (such as a counting proxy) sees it."""
-    return purepy.combine_on(active.gf_mul, kind, rho, f0, f1, g, k)
+    """``purepy.combine_on`` with ``active.gf_mul`` and XOR; the multiply
+    is looked up per call so a module set as ``active`` later (such as a
+    counting proxy) sees it."""
+    return purepy.combine_on(active.gf_mul, operator.xor, kind, rho, f0, f1, g, k)

@@ -259,18 +259,19 @@ def eval_formula(prog: Sequence[int], assign: Sequence[int], g: int, k: int) -> 
     return stack[-1]
 
 
-def combine_on(mul, kind: int, rho, f0, f1, g: int, k: int):
-    """The round rule on the given multiply: the value f(0) and f(1) must
-    combine to when the round variable held rho. forall f0*f1, exists
-    f0+f1+f0*f1, reduce (1+rho)*f0 + rho*f1, computed with one multiply as
-    f0 + rho*(f0+f1) (characteristic 2: + is XOR). The operands are field
-    elements, with ``gf_mul``, or polynomials in z, with ``_zmul``; + is
-    ``_zadd``, which is XOR on two ints."""
+def combine_on(mul, add, kind: int, rho, f0, f1, g: int, k: int):
+    """The round rule on the given multiply and addition: the value f(0)
+    and f(1) must combine to when the round variable held rho. forall
+    f0*f1, exists f0+f1+f0*f1, reduce (1+rho)*f0 + rho*f1, computed with one
+    multiply as f0 + rho*(f0+f1) (characteristic 2: + is XOR). The operands
+    are field elements, with ``gf_mul`` and XOR; polynomials in z, with
+    ``_zmul`` and ``_zadd``; or arrays of field elements, with a product
+    table lookup and XOR."""
     if kind == K_FORALL:
         return mul(f0, f1, g, k)
     if kind == K_EXISTS:
-        return _zadd(_zadd(f0, f1), mul(f0, f1, g, k))
-    return _zadd(f0, mul(rho, _zadd(f0, f1), g, k))
+        return add(add(f0, f1), mul(f0, f1, g, k))
+    return add(f0, mul(rho, add(f0, f1), g, k))
 
 
 def _split(assign: Sequence[int], t: int) -> tuple[int, int]:
@@ -469,7 +470,7 @@ def _suffix(kinds, tvars, start, t, prog, assign, mask, pending, g, k, memo):
         v1 = _suffix(kinds, tvars, start + 1, sub, prog, assign, mask | bit, rest,
                      g, k, memo)
         assign[s] = old
-        v = combine_on(_zmul, kinds[start], rho, v0, v1, g, k)
+        v = combine_on(_zmul, _zadd, kinds[start], rho, v0, v1, g, k)
     if t >= 0 and not pending and len(memo) < MEMO_MAX_ENTRIES:
         memo[key] = v
     return v

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import json
 import sys
 import time
@@ -40,14 +39,13 @@ from .quantum import (
 )
 from .sumcheck import (
     ProtocolSizeError,
-    SearchTables,
-    accepting_row_messages,
     build_schedule,
     honest_always_accepts,
     honest_policy,
     optimal_cheater,
     run_protocol,
     sweep_size,
+    winnable_rows,
 )
 
 TRIAL_SEED_STRIDE = 1_000_003
@@ -179,11 +177,7 @@ def cmd_classical_exhaustive(args) -> dict:
         result["within_cap"] = value <= cap
     else:  # lookahead:full
         total = sweep_size(field, schedule)
-        tables = SearchTables(q, field, schedule)
-        winnable = 0
-        for row in itertools.product(field.elements(), repeat=schedule.n_rounds):
-            if accepting_row_messages(q, field, row, schedule, tables=tables) is not None:
-                winnable += 1
+        winnable = winnable_rows(q, field, schedule)
         result["winnable_rows"] = winnable
         result["total_rows"] = total
         result["winnable_fraction"] = _frac_doc(Fraction(winnable, total))

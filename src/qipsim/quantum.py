@@ -67,9 +67,9 @@ from .sumcheck import (
     RoundSchedule,
     SearchTables,
     TranscriptOracle,
-    accepting_row_messages,
     build_schedule,
     correct_polynomial,
+    lookahead_block,
     transcript_valid,
 )
 
@@ -257,20 +257,22 @@ ProverSpec = LookaheadProver | BiasedSupportProver
 def full_lookahead(q: PrenexQbf, field: Field,
                    schedule: RoundSchedule | None = None) -> RowProver:
     """The canonical cheating strategy: for each row, read the entire
-    challenge row and send some message vector the classical verifier
-    accepts for it, falling back to the honest messages when none exists."""
+    challenge row and send the message vector the classical verifier
+    accepts that ``accepting_row_messages`` finds, falling back to the
+    honest messages when none exists. A row not searched yet is searched
+    with every row that shares all but its last few challenges, in one
+    block of the lookahead search (``lookahead_block``), and the memo keeps
+    the whole block."""
     schedule = schedule or build_schedule(q)
     oracle = TranscriptOracle(q, field, schedule)
     tables = SearchTables(q, field, schedule)
-    memo: dict[tuple[int, ...], tuple[UniPoly, ...]] = {}
+    memo: dict[tuple[int, ...], Optional[tuple[UniPoly, ...]]] = {}
 
     def row_phi(r_row: tuple[int, ...]) -> tuple[UniPoly, ...]:
-        out = memo.get(r_row)
-        if out is None:
-            found = accepting_row_messages(q, field, r_row, schedule, tables=tables)
-            out = found if found is not None else oracle.correct_row(r_row)
-            memo[r_row] = out
-        return out
+        if r_row not in memo:
+            memo.update(lookahead_block(q, field, r_row, schedule, tables))
+        out = memo[r_row]
+        return out if out is not None else oracle.correct_row(r_row)
 
     return RowProver(row_phi)
 

@@ -43,6 +43,7 @@ prover and the sweep run without loading it.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 import random
 from collections.abc import Callable, Sequence
@@ -313,8 +314,9 @@ def run_with_randomness(
 ) -> Transcript:
     """Drive one interaction with the given challenge string. The verifier
     stops at the first failed check, a message coefficient outside the field
-    included; a policy exception other than ProtocolSizeError is recorded as
-    a rejection at the round it occurred."""
+    included, and a message that is not integers is left out of the
+    transcript; a policy exception other than ProtocolSizeError is recorded
+    as a rejection at the round it occurred."""
     schedule = schedule or build_schedule(q)
     if len(r_seq) != schedule.n_rounds:
         raise ValueError(f"need {schedule.n_rounds} challenges")
@@ -346,15 +348,18 @@ def _verify(q: PrenexQbf, schedule: RoundSchedule, field: Field,
             raise
         except Exception as exc:  # prover failure is a protocol rejection
             return reject(j, f"prover error: {exc!r}")
-        sent.append(fj)
+        # a transcript keeps a message only as ints, so it can be written out
+        try:
+            ints = tuple(map(operator.index, fj))
+        except TypeError:
+            ints = None
+        else:
+            sent.append(ints)
         if poly_degree(fj) > schedule.degree_bounds[j - 1]:
             return reject(j, "degree bound exceeded")
-        try:
-            fj = tuple(map(operator.index, fj))
-        except TypeError:
+        if ints is None or not all(0 <= c < field.order for c in ints):
             return reject(j, "message not over the field")
-        if not all(0 <= c < field.order for c in fj):
-            return reject(j, "message not over the field")
+        fj = ints
         # f(0) is the constant coefficient, f(1) the sum of them all
         f0 = fj[0] if fj else 0
         f1 = functools.reduce(operator.xor, fj, 0)
@@ -418,29 +423,38 @@ def honest_always_accepts(
 # ---------------------------------------------------------------------------
 # Optimal cheating prover and full-lookahead search (exact, bottom-up).
 
-# Entries in one (assignments x candidates) score block of the cheater DP.
+# Entries in one block of the cheater DP (assignments x candidates) and of
+# the lookahead search (challenge rows x value triples).
 _SCORE_BLOCK = 1 << 20
 
 
-def _digit_rows(order: int, width: int) -> np.ndarray:
+def _digit_rows(order: int, width: int, dtype=int) -> np.ndarray:
     """Every width-tuple over range(order), one row each, in
     ``itertools.product`` order (the last position varies fastest)."""
     import numpy as np
 
-    powers = order ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    return np.arange(order ** width, dtype=np.int64)[:, None] // powers % order
+    return np.indices((order,) * width, dtype=dtype).reshape(width, order ** width).T
 
 
 class SearchTables:
-    """Every candidate message of one instance, evaluated once.
+    """Every candidate message of one instance, evaluated once, built with
+    array operations.
 
     For each degree cap D in the schedule, row c of ``coeffs[D]`` is the c-th
     coefficient tuple of length D + 1 in ``itertools.product`` order, and
-    ``evals[D][c, r]`` is that polynomial at field element r. For each
-    round's (kind code, D), ``keys[kind, D][rho, c]`` is the verifier's combine
-    value of candidate c's f(0) and f(1) when the round variable holds rho,
-    read from a table filled by ``_kernels.combine``; ``groups[kind, D][rho][v]``
-    lists, in product order, the candidates whose combine value is v.
+    ``evals[D][c, r]`` is that polynomial at field element r, built one
+    coefficient at a time as c_0 + z * (the rest at z). For each kind code,
+    ``combine[kind][rho, f0, f1]`` is the verifier's round rule
+    (``_kernels.purepy.combine_on``) on index arrays, with the multiply read
+    from the field's product table. For each round's (kind code, D),
+    ``keys[kind, D][rho, c]`` is the combine value of candidate c's f(0) and
+    f(1) when the round variable holds rho, and ``groups[kind, D][rho][v]``
+    lists, in product order, the candidates whose combine value is v: slices
+    of one stable argsort of the keys, cut at their counts.
+
+    ``triples(D)`` indexes the candidates by their values f(0), f(1) and
+    f(r), which is all the verifier reads of a message at challenge r; the
+    lookahead search runs on these triples.
     Building raises ProtocolSizeError past the search cutoff.
     """
 
@@ -451,41 +465,65 @@ class SearchTables:
         dmax = max(schedule.degree_bounds)
         if order ** (dmax + 1) * order ** (q.n + 1) > MAX_SEARCH_WORK:
             raise ProtocolSizeError("candidate search space exceeds the cutoff")
-        elems = range(order)
-        zs = np.arange(order)
         small = np.min_scalar_type(order - 1)  # field elements; sorts by radix
-        mul = np.array([[field.ops.gf_mul(a, b, field.g, field.k) for b in elems]
-                        for a in elems], dtype=small)
-        combine: dict[int, np.ndarray] = {}
+        elems = np.arange(order, dtype=small)
+        mul = np.array([[field.ops.gf_mul(a, b, field.g, field.k) for b in range(order)]
+                        for a in range(order)], dtype=small)
         self.coeffs: dict[int, np.ndarray] = {}
         self.evals: dict[int, np.ndarray] = {}
+        self.combine: dict[int, np.ndarray] = {}
         self.keys: dict[tuple[int, int], np.ndarray] = {}
         self.groups: dict[tuple[int, int], list[list[np.ndarray]]] = {}
+        self._triples: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for kind, bound in zip(schedule.kinds, schedule.degree_bounds):
             if bound not in self.coeffs:
-                coeffs = _digit_rows(order, bound + 1).astype(small)
-                evals = np.zeros((len(coeffs), order), dtype=small)
-                for i in range(bound, -1, -1):  # Horner, all candidates at once
-                    evals = mul[evals, zs] ^ coeffs[:, i, None]
-                self.coeffs[bound], self.evals[bound] = coeffs, evals
-            if kind not in combine:
-                # Quantifier rules ignore rho: fill one slice, broadcast it.
-                rhos = elems if kind == _kernels.K_REDUCE else (0,)
-                table = np.array([
-                    [[_kernels.combine(kind, rho, f0, f1, field.g, field.k) for f1 in elems]
-                     for f0 in elems]
-                    for rho in rhos
-                ], dtype=small)
-                combine[kind] = np.broadcast_to(table, (order, order, order))
+                # from the empty tuple, each pass puts a coefficient c in
+                # front of every tuple p so far: c + z * p(z)
+                evals = np.zeros((1, order), dtype=small)
+                for _ in range(bound + 1):
+                    evals = (elems[:, None, None] ^ mul[evals, elems]).reshape(-1, order)
+                self.coeffs[bound] = _digit_rows(order, bound + 1, small)
+                self.evals[bound] = evals
+            if kind not in self.combine:
+                rule = _kernels.purepy.combine_on(
+                    lambda a, b, g, k: mul[a, b], operator.xor, kind,
+                    elems[:, None, None], elems[:, None], elems, field.g, field.k)
+                self.combine[kind] = np.broadcast_to(rule, (order,) * 3)
             if (kind, bound) not in self.keys:
                 evals = self.evals[bound]
-                keys = combine[kind][:, evals[:, 0], evals[:, 1]]
+                keys = self.combine[kind][:, evals[:, 0], evals[:, 1]]
                 self.keys[kind, bound] = keys
-                by_key = np.argsort(keys, axis=1, kind="stable")
-                self.groups[kind, bound] = [
-                    np.split(members, np.searchsorted(row[members], zs[1:]))
-                    for row, members in zip(keys, by_key)
-                ]
+                self.groups[kind, bound] = groups = []
+                for row, members in zip(keys, np.argsort(keys, axis=1, kind="stable")):
+                    ends = np.bincount(row, minlength=order).cumsum().tolist()
+                    groups.append([members[lo:hi] for lo, hi in zip([0, *ends], ends)])
+
+    def triples(self, bound: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(first, made)`` for degree cap ``bound``, built on first use:
+        ``first[r, a, b, e]`` is the first candidate in product order with
+        f(0), f(1), f(r) = a, b, e, or ``len(coeffs[bound])`` when none has
+        them, and bit e of ``made[r, a, b]`` is set when one has."""
+        import numpy as np
+
+        found = self._triples.get(bound)
+        if found is None:
+            evals = self.evals[bound]
+            n_cand, order = evals.shape
+            # Candidate c_0 * |F|^D + t has f(0) = c_0, f(1) = c_0 + s(1) and
+            # f(r) = c_0 + s(r), where s is candidate t: the first candidate
+            # with a triple is c_0 followed by the first t with s(1), s(r).
+            tails = n_cand // order
+            codes = (np.arange(order) * order + evals[:tails, 1:2]) * order + evals[:tails]
+            codes, at = np.unique(codes.ravel(), return_index=True)  # code of (r, s(1), s(r))
+            tail = np.full(order ** 3, tails, dtype=np.min_scalar_type(n_cand))
+            tail[codes] = at // order
+            a, b, e = np.ogrid[:order, :order, :order]
+            tail = tail.reshape((order,) * 3)[:, a ^ b, a ^ e]
+            first = np.where(tail < tails, a * tails + tail, n_cand).astype(tail.dtype)
+            bits = np.uint64(1) << np.arange(order, dtype=np.uint64)
+            made = np.bitwise_or.reduce(np.where(first < n_cand, bits, 0), axis=3)
+            found = self._triples[bound] = first, made
+        return found
 
 
 class TabulatedPolicy:
@@ -575,6 +613,86 @@ def optimal_cheater(
     return TabulatedPolicy(q, field, schedule, choice, p), p
 
 
+def _check_row(field: Field, schedule: RoundSchedule, r_row: Sequence[int]) -> list[int]:
+    if len(r_row) != schedule.n_rounds:
+        raise ValueError(f"need {schedule.n_rounds} challenges")
+    return [field.check(r) for r in r_row]
+
+
+def _free_width(order: int, n_rounds: int) -> int:
+    """How many trailing challenges a block of the lookahead search leaves
+    free: the most whose rows, |F|^3 triples each, fit in ``_SCORE_BLOCK``
+    entries (none when one row is already past it)."""
+    width = 0
+    while width < n_rounds and order ** (width + 4) <= _SCORE_BLOCK:
+        width += 1
+    return width
+
+
+def _lookahead_search(q: PrenexQbf, field: Field, schedule: RoundSchedule,
+                      tables: SearchTables, prefix: Sequence[int], send: bool
+                      ) -> tuple[np.ndarray, np.ndarray, list[tuple[UniPoly, ...]]]:
+    """The full-lookahead search on the block of challenge rows that start
+    with ``prefix``: the rows in product order, whether each has a message
+    vector the verifier accepts, and with ``send`` that vector for each row
+    that has one, in order.
+
+    The verifier reads round j's message only through f(0), f(1) and
+    f(r_j), so the search runs on those value triples (``tables.triples``).
+    With the row fixed, round j's assignment is fixed too, so the state is
+    just the claim v. A backward pass builds the win sets as bitmasks over
+    the claims (the search cutoff keeps |F| <= 32): win_{N+1} holds the
+    matrix value at the row's final assignment, and win_j holds v when some
+    pair f(0), f(1) with combine value v has a candidate whose value at r_j
+    is in win_{j+1}. A forward pass from claim 1 then sends, each round, the
+    first candidate in ``itertools.product`` order whose combine value is
+    the claim and whose child claim can still win: the message vector a
+    depth-first search in product order finds."""
+    import numpy as np
+
+    bit = np.uint64(1)
+    n_rounds = schedule.n_rounds
+    rows = np.empty((field.order ** (n_rounds - len(prefix)), n_rounds), dtype=np.intp)
+    rows[:, :len(prefix)] = prefix
+    rows[:, len(prefix):] = _digit_rows(field.order, n_rounds - len(prefix))
+    assign = np.zeros((len(rows), q.n), dtype=np.intp)
+    rounds = []  # (kind code, degree cap, rho, r_j), rho and r_j per row
+    for j, (kind, t, bound) in enumerate(zip(schedule.kinds, schedule.tvars,
+                                             schedule.degree_bounds)):
+        rounds.append((kind, bound, assign[:, t].copy(), rows[:, j]))
+        assign[:, t] = rows[:, j]
+    codes = assign @ field.order ** np.arange(q.n)
+    _, final, at_final = np.unique(codes, return_index=True, return_inverse=True)
+    matrix = np.array([field.ops.eval_formula(schedule.prog, a, field.g, field.k)
+                       for a in assign[final].tolist()], dtype=np.uint64)
+    wins = [bit << matrix[at_final]]
+    for kind, bound, rho, r in reversed(rounds):
+        reach = tables.triples(bound)[1][r] & wins[-1][:, None, None] != 0
+        claims = np.where(reach, bit << tables.combine[kind][rho], 0)
+        wins.append(np.bitwise_or.reduce(claims, axis=(1, 2)))
+    wins.reverse()  # wins[j - 1] is win_j
+    won = wins[0] >> bit & bit != 0
+    if not send:
+        return rows, won, []
+    live = np.flatnonzero(won)
+    at = np.arange(len(live))
+    v = np.ones(len(live), dtype=np.intp)
+    values = np.arange(field.order, dtype=np.uint64)
+    sent = []
+    for (kind, bound, rho, r), win in zip(rounds, wins[1:]):
+        rho, r, win = rho[live], r[live], win[live]
+        first, made = tables.triples(bound)
+        # the pairs f(0), f(1) = a, b that meet the claim and can still win;
+        # f(0) leads the product order, so the message has the least such a
+        ok = (tables.combine[kind][rho] == v[:, None, None]) & (made[r] & win[:, None, None] != 0)
+        a = ok.any(axis=2).argmax(axis=1)
+        ends = ok[at, a][:, :, None] & (win[:, None] >> values & bit != 0)[:, None, :]
+        c = np.where(ends, first[r, a], len(tables.coeffs[bound])).min(axis=(1, 2))
+        sent.append(tables.coeffs[bound][c].tolist())
+        v = tables.evals[bound][c, r]
+    return rows, won, [tuple(map(tuple, msgs)) for msgs in zip(*sent)]
+
+
 def accepting_row_messages(
     q: PrenexQbf,
     field: Field,
@@ -583,48 +701,47 @@ def accepting_row_messages(
     tables: SearchTables | None = None,
 ) -> Optional[tuple[UniPoly, ...]]:
     """A message vector the verifier accepts when the whole challenge string
-    is known in advance, or None when no such vector exists. This is what a
-    prover with full lookahead would send.
-
-    With the row fixed, round j's assignment is fixed too, so the state is
-    just the claim v. A boolean DP runs backward: win_{N+1}[v] holds when v
-    is the matrix value at the row's final assignment, and win_j[v] holds
-    when some candidate c with combine value v has win_{j+1}[c(r_j)]. A
-    forward pass from claim 1 then sends, each round, the first candidate in
-    ``itertools.product`` order whose combine value is the claim and whose
-    child claim can still win; that is the message vector a depth-first
-    search in product order finds. Pass ``tables`` built once for
-    (q, field, schedule) when scanning many rows; the search cutoff is
+    is known in advance, or None when no such vector exists: what a prover
+    with full lookahead would send, from the lookahead search on this one
+    row (``_lookahead_search``). Pass ``tables`` built once for
+    (q, field, schedule) when searching many rows; the search cutoff is
     checked when the tables are built."""
-    import numpy as np
-
     schedule = schedule or build_schedule(q)
     if tables is None:
         tables = SearchTables(q, field, schedule)
-    if len(r_row) != schedule.n_rounds:
-        raise ValueError(f"need {schedule.n_rounds} challenges")
-    assign = [0] * q.n
-    rounds = []  # (combine keys, candidate values at r_j, degree cap)
-    for kind, t, bound, r in zip(schedule.kinds, schedule.tvars, schedule.degree_bounds, r_row):
-        rounds.append((tables.keys[kind, bound][assign[t]],
-                       tables.evals[bound][:, field.check(r)], bound))
-        assign[t] = r
-    final = field.ops.eval_formula(schedule.prog, assign, field.g, field.k)
-    wins = [np.arange(field.order) == final]
-    for keys, child, _ in reversed(rounds):
-        win = np.zeros(field.order, dtype=bool)
-        win[keys[wins[-1][child]]] = True
-        wins.append(win)
-    wins.reverse()  # wins[j - 1] is win_j
-    if not wins[0][1]:
-        return None
-    out = []
-    v = 1
-    for (keys, child, bound), win_next in zip(rounds, wins[1:]):
-        c = int(np.argmax((keys == v) & win_next[child]))
-        out.append(tuple(tables.coeffs[bound][c].tolist()))
-        v = int(child[c])
-    return tuple(out)
+    row = _check_row(field, schedule, r_row)
+    _, won, sent = _lookahead_search(q, field, schedule, tables, row, True)
+    return sent[0] if won[0] else None
+
+
+def lookahead_block(
+    q: PrenexQbf,
+    field: Field,
+    r_row: Sequence[int],
+    schedule: RoundSchedule,
+    tables: SearchTables,
+) -> dict[tuple[int, ...], Optional[tuple[UniPoly, ...]]]:
+    """``accepting_row_messages`` for r_row and every row that shares all
+    but its last few challenges with it, from one block of the lookahead
+    search: a dict from row to message vector or None."""
+    n_rounds = schedule.n_rounds
+    prefix = _check_row(field, schedule, r_row)[: n_rounds - _free_width(field.order, n_rounds)]
+    rows, won, sent = _lookahead_search(q, field, schedule, tables, prefix, True)
+    found = iter(sent)
+    return {tuple(row): next(found) if w else None
+            for row, w in zip(rows.tolist(), won.tolist())}
+
+
+def winnable_rows(q: PrenexQbf, field: Field, schedule: RoundSchedule | None = None) -> int:
+    """How many of the |F|^N challenge rows have a message vector the
+    verifier accepts, from the lookahead search one block of rows at a time.
+    The sweep cutoff is checked before the search cutoff."""
+    schedule = schedule or build_schedule(q)
+    sweep_size(field, schedule)
+    tables = SearchTables(q, field, schedule)
+    fixed = schedule.n_rounds - _free_width(field.order, schedule.n_rounds)
+    return sum(int(_lookahead_search(q, field, schedule, tables, prefix, False)[1].sum())
+               for prefix in itertools.product(field.elements(), repeat=fixed))
 
 
 # ---------------------------------------------------------------------------

@@ -53,8 +53,6 @@ def invocations() -> list[list[str]]:
         n2 = text in N2
         for k in ("1", "2", "3"):
             for prover in ("honest", "optimal", "lookahead:full"):
-                if n2 and k == "3" and prover == "lookahead:full":
-                    continue  # 3.5 s each
                 add("classical", "exhaustive", "--formula", text, "--k", k,
                     "--prover", prover)
             add("classical", "run", "--formula", text, "--k", k,

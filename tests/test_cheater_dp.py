@@ -13,12 +13,15 @@ from strategies import formulas
 from qipsim import sumcheck
 from qipsim.gf2k import Field
 from qipsim.qbf import parse_qbf
+from qipsim.quantum import full_lookahead
 from qipsim.sumcheck import (
     SearchTables,
+    TranscriptOracle,
     accepting_row_messages,
     build_schedule,
     optimal_cheater,
     run_with_randomness,
+    winnable_rows,
 )
 
 # The oracles cost about order^(n + dmax + 1) candidate scorings; 4096 keeps
@@ -64,22 +67,72 @@ def test_policy_realizes_value(inst):
 @settings(max_examples=25)
 @given(instances(ks=(1, 2)))
 def test_row_search_matches_oracle(inst):
+    # one row at a time, every row in one block, the CLI count and the
+    # lookahead prover's rows
     q, field, schedule = inst
+    rows = list(itertools.product(field.elements(), repeat=schedule.n_rounds))
+    want = [oracle_row_messages(q, field, row, schedule) for row in rows]
     tables = SearchTables(q, field, schedule)
-    for row in itertools.product(field.elements(), repeat=schedule.n_rounds):
-        got = accepting_row_messages(q, field, row, schedule, tables=tables)
-        assert got == oracle_row_messages(q, field, row, schedule), row
+    for row, w in zip(rows, want):
+        assert accepting_row_messages(q, field, row, schedule, tables=tables) == w, row
+    block, won, sent = sumcheck._lookahead_search(q, field, schedule, tables, (), True)
+    assert block.tolist() == [list(row) for row in rows]
+    assert won.tolist() == [w is not None for w in want]
+    assert sent == [w for w in want if w is not None]
+    assert winnable_rows(q, field, schedule) == sum(won)
+    phi = full_lookahead(q, field, schedule).row_phi
+    honest = TranscriptOracle(q, field, schedule)
+    for row, w in zip(rows, want):
+        assert phi(row) == (w if w is not None else honest.correct_row(row)), row
+
+
+@pytest.mark.parametrize("text, k", [
+    ("A x1 A x2 : x1 & x2", 2),
+    ("E x1 A x2 : (x1 | ~x2) & (~x1 | x2)", 1),
+    ("A x1 : x1 & x1 & x1", 3),
+])
+@pytest.mark.parametrize("block", [32, 1 << 9])
+def test_blocked_search_matches_one_block(monkeypatch, text, k, block):
+    # a block holds |F|^w rows of |F|^3 triples each: 32 entries hold four
+    # rows at k = 1 and less than one row at k >= 2, so there every row is
+    # its own block; 2^9 entries hold four rows at k = 2 and one at k = 3;
+    # the default holds every row of these instances in one block
+    q, field = parse_qbf(text), Field(k)
+    schedule = build_schedule(q)
+    rows = list(itertools.product(field.elements(), repeat=schedule.n_rounds))
+    count = winnable_rows(q, field, schedule)
+    phi = full_lookahead(q, field, schedule).row_phi
+    want = [phi(row) for row in reversed(rows)]
+    monkeypatch.setattr(sumcheck, "_SCORE_BLOCK", block)
+    assert winnable_rows(q, field, schedule) == count
+    phi = full_lookahead(q, field, schedule).row_phi
+    assert [phi(row) for row in reversed(rows)] == want
 
 
 def test_combine_keys_match_brute_force():
-    # quantifier rounds fill one rho slice and broadcast it; every slice must
-    # still be the combine rule itself
+    # every table of the search, from candidates to value triples; the
+    # quantifier rules ignore rho, and every rho slice must still be the rule
     for text in ("E x1 A x2 : x1 & x2", "A x1 : x1 & x1 & x1"):
         q = parse_qbf(text)
         schedule = build_schedule(q)
         for k in (1, 2, 3):
             field = Field(k)
             tables = SearchTables(q, field, schedule)
+            order = field.order
+            for bound, coeffs in tables.coeffs.items():
+                assert coeffs.tolist() == [
+                    list(c) for c in itertools.product(range(order), repeat=bound + 1)]
+                evals = tables.evals[bound].tolist()
+                for c, poly in enumerate(coeffs.tolist()):
+                    assert evals[c] == [field.poly_eval(poly, r) for r in range(order)]
+                first, made = tables.triples(bound)
+                triples = {}  # (r, f(0), f(1), f(r)) -> first candidate with them
+                for c, ys in enumerate(evals):
+                    for r in range(order):
+                        triples.setdefault((r, ys[0], ys[1], ys[r]), c)
+                for r, a, b, e in itertools.product(range(order), repeat=4):
+                    assert first[r, a, b, e] == triples.get((r, a, b, e), len(coeffs))
+                    assert (int(made[r, a, b]) >> e & 1) == ((r, a, b, e) in triples)
             assert {kind for kind, _ in tables.keys} == set(schedule.kinds)
             for (kind, bound), keys in tables.keys.items():
                 f01 = tables.evals[bound][:, :2].tolist()

@@ -545,15 +545,25 @@ def test_run_with_randomness_notes():
     tr = run_with_randomness(q, f, TooWide(), [0, 0])
     assert not tr.accepted and tr.reject_round == 1
 
+    class TooWideFloats:
+        def next_poly(self, j, r_prefix, sent):
+            return (1.0, 0.0, 2.0)
 
-@pytest.mark.parametrize("msg", [(4,), (-1, 0), (2.0,), (0.0, 1.0)])
+    tr = run_with_randomness(q, f, TooWideFloats(), [0, 0])
+    assert (tr.reject_round, tr.note) == (1, "degree bound exceeded")
+    assert transcript_from_dict(json.loads(json.dumps(tr.to_dict()))) == tr
+
+
+@pytest.mark.parametrize("msg", [(4,), (-1, 0), (2.0,), (0.0, 1.0), ("1",)])
 def test_message_outside_field_rejected(msg):
-    # no k-bit register holds such a coefficient: a rejection, not an error
+    # no k-bit register holds such a coefficient: a rejection, not an error,
+    # and the transcript can still be written out and read back
     q = parse_qbf("E x1 : x1")
     f = Field(2)
     s = build_schedule(q)
     tr = run_with_randomness(q, f, Replay([msg, (0, 1)]), [0, 0])
     assert (tr.accepted, tr.reject_round, tr.note) == (False, 1, "message not over the field")
+    assert transcript_from_dict(json.loads(json.dumps(tr.to_dict()))) == tr
     assert check_transcript(q, s, f, (0, 0), (msg, (0, 1))) == 1
     honest = TranscriptOracle(q, f).correct_row((0, 0))
     assert check_transcript(q, s, f, (0, 0), (honest[0], msg)) == 2
