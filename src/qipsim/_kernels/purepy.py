@@ -20,10 +20,14 @@ z (``honest_message``), which needs no interpolation. ``_boolean_value``
 takes over where every variable is 0 or 1, and ``combine_on`` is the one
 round rule, the verifier's included.
 
-The sweep (``honest_sweep``) interpolates point values of the same walk
-(``interpolate``, which also serves ``Field.poly_interpolate``). It shares
-the walk and the round rule with the prover but none of its polynomial
-arithmetic (``_z_formula``, products of sequences, the fold past the
+The sweep (``honest_sweep``) builds the suffix values as tables instead,
+one bottom-up pass per round (``_suffix_tables``): the matrix at every
+point of F^n, from the postfix runner that ``_z_formula`` shares run on
+whole tables, then each round's operator on whole tables through
+``combine_on``. Every line of a table along its round's variable must
+equal its interpolant through the round's nodes at every field element.
+The sweep shares the gates and the round rule with the prover but none of
+its polynomial arithmetic (products of sequences, the fold past the
 field), so it checks completeness, not the messages ``honest_message``
 builds; the tests check those against a recursion that shares no code with
 this module.
@@ -404,24 +408,33 @@ def _zmul(a, b, g: int, k: int):
     return out
 
 
-def _z_formula(prog: Sequence[int], assign: Sequence[int], t: int, g: int, k: int):
-    """``eval_formula`` with variable t held as z."""
+def _run_postfix(prog: Sequence[int], leaves: Sequence, add, mul, g: int, k: int):
+    """Run a postfix formula program on the given addition and multiply,
+    with leaves[s] the value of variable s: ``eval_formula``'s gates on
+    other operands, such as polynomials in z (``_z_formula``) or whole
+    tables (``_suffix_tables``)."""
     stack: list = []
     for pos in range(0, len(prog), 2):
         op = prog[pos]
-        arg = prog[pos + 1]
         if op == OP_VAR:
-            stack.append(_Z if arg == t else assign[arg])
+            stack.append(leaves[prog[pos + 1]])
         elif op == OP_NOT:
-            stack[-1] = _zadd(stack[-1], 1)
+            stack[-1] = add(stack[-1], 1)
         elif op == OP_AND:
             b = stack.pop()
-            stack[-1] = _zmul(stack[-1], b, g, k)
+            stack[-1] = mul(stack[-1], b, g, k)
         else:
             b = stack.pop()
             a = stack[-1]
-            stack[-1] = _zadd(_zadd(a, b), _zmul(a, b, g, k))
+            stack[-1] = add(add(a, b), mul(a, b, g, k))
     return stack[-1]
+
+
+def _z_formula(prog: Sequence[int], assign: Sequence[int], t: int, g: int, k: int):
+    """``eval_formula`` with variable t held as z."""
+    leaves = list(assign)
+    leaves[t] = _Z
+    return _run_postfix(prog, leaves, _zadd, _zmul, g, k)
 
 
 def _suffix(kinds, tvars, start, t, prog, assign, mask, pending, g, k, memo):
@@ -506,6 +519,115 @@ def honest_message(kinds: Sequence[int], tvars: Sequence[int], start: int,
     return out
 
 
+# ---------------------------------------------------------------------------
+# Suffix tables: the value of an operator suffix at every point of F^i, as a
+# flat list whose entry sum_s x_{s+1} |F|^s is the value at (x_1, ..., x_i),
+# so x_1 is the least significant digit and x_i the most.
+
+
+def _vadd(a, b):
+    """a + b entry by entry on tables, b a table or an int."""
+    if type(b) is int:
+        return [x ^ b for x in a]
+    return [x ^ y for x, y in zip(a, b)]
+
+
+def _vmul(a, b, g: int, k: int):
+    """a*b entry by entry on tables, a a table or an int: a lookup in the
+    product table for k <= _TABLE_MAX_K, else ``gf_mul`` one product at a
+    time."""
+    if k <= _TABLE_MAX_K:
+        tbl = _table(g, k)
+        if type(a) is int:
+            row = tbl[a]
+            return [row[y] for y in b]
+        return [tbl[x][y] for x, y in zip(a, b)]
+    if type(a) is int:
+        return [gf_mul(a, y, g, k) for y in b]
+    return [gf_mul(x, y, g, k) for x, y in zip(a, b)]
+
+
+def _coordinate(width: int, stride: int, size: int) -> list[int]:
+    """The table of width entries whose entry is its digit on the axis of
+    this stride."""
+    return [r for r in range(size) for _ in range(stride)] * (width // (stride * size))
+
+
+def _plane(table: Sequence[int], stride: int, size: int, r: int) -> list[int]:
+    """The entries of the table whose digit on the axis of this stride is r,
+    in table order: one value per line along that axis."""
+    if stride == 1:
+        return table[r::size]
+    return list(itertools.chain.from_iterable(
+        table[h:h + stride] for h in range(r * stride, len(table), stride * size)))
+
+
+def _spread(plane: Sequence[int], stride: int, size: int) -> list[int]:
+    """The table whose every line along the axis of this stride is constant,
+    at its value in plane: ``_plane``'s inverse for a table whose planes are
+    all equal."""
+    if stride == 1:
+        return list(itertools.chain.from_iterable(zip(*[plane] * size)))
+    return list(itertools.chain.from_iterable(
+        plane[h:h + stride] * size for h in range(0, len(plane), stride)))
+
+
+def _suffix_tables(kinds: Sequence[int], tvars: Sequence[int], prog: Sequence[int],
+                   nvars: int, g: int, k: int):
+    """Yield (j, table) for j = N, ..., 0: the values of the suffix after
+    round j at every point of F^i, where x_1..x_i are the variables bound
+    by rounds 1..j. Block i of ``sumcheck.build_schedule`` (Q_i x_i, then a
+    reduce round on each of x_1..x_i) binds x_1..x_i, so those variables
+    are always a prefix, and the quantifier round on x_i is the one that
+    drops the top axis.
+
+    The table for j = N is the matrix at every point of F^n, one run of the
+    postfix program on whole tables. Round j's operator then rewrites the
+    table through ``combine_on``: a reduce round on x_t sets each line along
+    x_t to f0 + r*(f0 + f1) at x_t = r, for every r in F; a quantifier round
+    combines the x_i = 0 and x_i = 1 slices, and x_i is gone."""
+    size = 1 << k
+    width = size ** nvars
+    table = _run_postfix(prog, [_coordinate(width, size ** s, size) for s in range(nvars)],
+                         _vadd, _vmul, g, k)
+    for j in range(len(kinds), 0, -1):
+        yield j, table
+        kind = kinds[j - 1]
+        stride = size ** tvars[j - 1]
+        f0 = _plane(table, stride, size, 0)
+        f1 = _plane(table, stride, size, 1)
+        if kind == K_REDUCE:
+            table = combine_on(_vmul, _vadd, kind, _coordinate(len(table), stride, size),
+                               _spread(f0, stride, size), _spread(f1, stride, size), g, k)
+        else:
+            table = combine_on(_vmul, _vadd, kind, None, f0, f1, g, k)
+    yield 0, table
+
+
+def _lines_fit(table: Sequence[int], stride: int, npts: int, g: int, k: int) -> bool:
+    """Whether every line of the table along the axis of this stride equals,
+    at every r in F, the polynomial that interpolates it at z < npts. The
+    interpolant's coefficients come a plane at a time from the Lagrange
+    basis, and its values at every r from Horner's rule on whole tables."""
+    size = 1 << k
+    if npts == size:
+        return True
+    planes = [_plane(table, stride, size, z) for z in range(npts)]
+    basis = _lagrange_basis(tuple(range(npts)), g, k)
+    coord = _coordinate(len(table), stride, size)
+    acc = None
+    for c in range(npts - 1, -1, -1):
+        coeff = None
+        for z, plane in enumerate(planes):
+            w = basis[z][c]
+            if w:
+                term = plane if w == 1 else _vmul(w, plane, g, k)
+                coeff = term if coeff is None else _vadd(coeff, term)
+        coeff = _spread(coeff, stride, size)
+        acc = coeff if acc is None else _vadd(_vmul(coord, acc, g, k), coeff)
+    return acc == table
+
+
 def honest_sweep(
     kinds: Sequence[int],
     tvars: Sequence[int],
@@ -521,27 +643,17 @@ def honest_sweep(
     variable's previous value. With 0 and 1 among the nodes, round j's
     combine check says "the previous message at its challenge equals the
     suffix value from round j", and the final matrix check is that test
-    after round N. So: the chain is 1, and for each round, each setting of
-    the variables bound before it (others 0) and each r in F, the message
-    at r is the suffix value with the round variable at r. One memo of
-    Boolean suffix values serves the whole sweep."""
+    after round N. So: the chain is 1, and for each round j, every line of
+    the suffix table after round j along the round's variable
+    (``_suffix_tables``) equals its interpolant through z < npts at every r.
+
+    The chain is checked first, by one memoized walk at the all-0 point, so
+    a false formula builds no table."""
     size = 1 << k
-    assign = [0] * nvars
-    memo: dict[int, int | Sequence[int]] = {}
-    if quantified_value(kinds, tvars, 0, prog, assign, g, k, memo) != 1:
+    if quantified_value(kinds, tvars, 0, prog, [0] * nvars, g, k, {}) != 1:
         return False
-    for j, t in enumerate(tvars):
-        npts = min(dbounds[j] + 1, size)
-        bound = [v for v in dict.fromkeys(tvars[:j]) if v != t]
-        for point in itertools.product(range(size), repeat=len(bound)):
-            for v, x in zip(bound, point):
-                assign[v] = x
-            ys = []
-            for r in range(size):
-                assign[t] = r
-                ys.append(quantified_value(kinds, tvars, j + 1, prog, assign, g, k, memo))
-            cs = interpolate(range(npts), ys[:npts], g, k)
-            for r in range(npts, size):
-                if poly_eval(cs, r, g, k) != ys[r]:
-                    return False
+    for j, table in _suffix_tables(kinds, tvars, prog, nvars, g, k):
+        if j and not _lines_fit(table, size ** tvars[j - 1], min(dbounds[j - 1] + 1, size),
+                                g, k):
+            return False
     return True

@@ -11,12 +11,14 @@ N = n(n+1)/2 + n rounds:
 kernels' int encoding (``RoundSchedule``): the verifier, the honest prover,
 the sweep and the cheater search all read that one program. The honest
 prover computes each message as a polynomial in its round variable, in one
-walk of the suffix (``_kernels.honest_message``); the sweep evaluates the
-suffix point by point and interpolates. Both share one suffix walk and
-round rule with ``partial_value`` (``_kernels.purepy._suffix``), and the
-sweep uses none of the prover's polynomial arithmetic: it shows that
-messages interpolated from the walk's values are always accepted, and the
-tests show that the prover's messages are those interpolants.
+walk of the suffix (``_kernels.honest_message``), the walk that gives
+``partial_value`` (``_kernels.purepy._suffix``). The sweep walks no
+suffix: it builds each round's suffix values at every point as one table,
+bottom-up from the matrix (``_kernels.purepy._suffix_tables``), with the
+same round rule. It uses none of the prover's polynomial arithmetic: it
+shows that messages interpolated from those values are always accepted,
+and the tests show that the prover's messages are those interpolants and
+that every table entry is the partial value at its point.
 
 Round j: the prover sends coefficients f_j (degree capped per round), the
 verifier combines f_j(0) and f_j(1) with the round operator's rule and
@@ -413,7 +415,11 @@ def honest_always_accepts(
     """Whether the honest prover is accepted on every challenge string,
     checked round by round: each honest message must equal the true suffix
     value at every r in F, for every setting of the variables bound before
-    its round (``_kernels.honest_sweep``). The cutoff stays |F|^N."""
+    its round. ``_kernels.honest_sweep`` checks the chain's value at one
+    point, then holds each round's suffix values at every point in one
+    table, built from the next round's table. The cutoff stays |F|^N, the
+    number of challenge strings, though the tables hold at most |F|^n
+    values each."""
     schedule = schedule or build_schedule(q)
     sweep_size(field, schedule)
     return field.ops.honest_sweep(schedule.kinds, schedule.tvars, schedule.degree_bounds,

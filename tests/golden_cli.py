@@ -121,6 +121,15 @@ def invocations() -> list[list[str]]:
     # Degree 4 over the 4-element field: round 2's message folds z^4 = z.
     for text in ("A x1 : x1 & x1 & x1 & x1", "E x1 : x1 & x1 & x1 & x1"):
         add("classical", "run", "--formula", text, "--k", "2", "--trials", "8", "--seed", "1")
+    # Honest sweeps at the edge of the cutoff: 2^22 draws at n = 1 (k = 11),
+    # n = 2 at k = 4 and n = 3 at k = 2. The n = 1 pair is true and false, so
+    # one verdict comes from the tables and one from the chain check.
+    for text, k in (("E x1 : x1 | ~x1", "11"), ("A x1 : x1", "11"),
+                    ("A x1 E x2 : (x1 | ~x2) & (~x1 | x2)", "4"),
+                    ("A x1 A x2 : x1 & x2", "4"),
+                    ("E x1 A x2 E x3 : (x1 | x2 | x3) & (x1 | ~x2 | x3) & (~x1 | x2 | ~x3)",
+                     "2")):
+        add("classical", "exhaustive", "--formula", text, "--k", k, "--prover", "honest")
     # 2^23 formula evaluations behind round 1's message: refused.
     add("classical", "run", "--formula", _chain("A", 24, "x1 | ~x1"), "--k", "8")
 

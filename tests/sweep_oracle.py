@@ -1,10 +1,11 @@
 """Slow reference for the honest completeness sweep.
 
 This is the recursive walk that ``qipsim._kernels.purepy.honest_sweep`` ran
-before it became a flat check of messages against suffix values. It replays
-the verifier round by round over every challenge prefix, with its own combine
-check, claim threading and final matrix check, so it stays independent
-enough to check the flat sweep against. ``sweep_size`` guards its size.
+before it checked messages against tables of suffix values. It replays the
+verifier round by round over every challenge prefix, with its own combine
+check, claim threading and final matrix check, and it computes every suffix
+value by a walk at a point, not from a table, so it stays independent
+enough to check the table sweep against. ``sweep_size`` guards its size.
 """
 
 from __future__ import annotations

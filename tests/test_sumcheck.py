@@ -513,6 +513,58 @@ def test_honest_sweep_matches_prefix_walk_on_corpus():
     assert late_rejections > 0
 
 
+def _check_suffix_tables(q, k):
+    # entry sum_s x_{s+1} |F|^s of the table after round j is the suffix
+    # value at (x_1, ..., x_i), x_1..x_i the variables bound by rounds 1..j
+    field = Field(k)
+    schedule = build_schedule(q)
+    size = field.order
+    rounds = []
+    for j, table in purepy._suffix_tables(schedule.kinds, schedule.tvars, schedule.prog,
+                                          q.n, field.g, field.k):
+        rounds.append(j)
+        live = len(set(schedule.tvars[:j]))
+        assert len(table) == size ** live, (q, k, j)
+        for e, value in enumerate(table):
+            point = [(e >> (k * s)) & (size - 1) if s < live else 0 for s in range(q.n)]
+            assert value == partial_value(q, schedule, field, j, point), (q, k, j, point)
+    assert rounds == list(range(schedule.n_rounds, -1, -1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(formulas(max_n=3))
+def test_suffix_tables_match_partial_values_n3(q):
+    # n = 3 puts a reduce round on x_1 and on x_2 inside block 3, whose
+    # lines along x_2 are neither the table's lowest nor its top axis
+    event(f"n={q.n}")
+    _check_suffix_tables(q, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(formulas(), st.sampled_from((3, 4)))
+def test_suffix_tables_match_partial_values(q, k):
+    _check_suffix_tables(q, k)
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_honest_sweep_without_product_table(monkeypatch, k):
+    # every product of the sweep from gf_mul one at a time, the path of
+    # fields past _TABLE_MAX_K, against the prefix walk
+    monkeypatch.setattr(purepy, "_TABLE_MAX_K", 0)
+    texts = TRUE_SMALL + FALSE_SMALL + [SPARSE_MISFIT]
+    if k == 3:  # without the table the prefix walk takes seconds on n = 2
+        texts = [text for text in texts if "x2" not in text]
+    verdicts = set()
+    for text in texts:
+        q = parse_qbf(text)
+        for variant, schedule in _bound_variants(build_schedule(q)).items():
+            verdict = honest_always_accepts(q, Field(k), schedule)
+            assert verdict == oracle_always_accepts(q, Field(k), schedule), (text, variant)
+            verdicts.add((eval_qbf(q), verdict))
+    # true formulas accepted, and at k >= 2 some rejected past the chain
+    assert (True, True) in verdicts and (k == 1 or (True, False) in verdicts)
+
+
 def test_run_protocol_honest():
     for text in TRUE_SMALL:
         q = parse_qbf(text)
