@@ -31,10 +31,11 @@ becomes (R, its kept message columns, zeros), a bijection that keeps the
 amplitudes and the registers step 4 groups by. Step 4 and the events are
 therefore read directly off the step-1-filtered state, which stores only R
 and F. A dense state-vector oracle cross-checks this closed form at small
-sizes: it injects the round-1 state, then applies the round-2 uncompute as
-an explicit basis permutation and the step-4 test as explicit Hadamard
-gates. Its vector is real, since Hadamard gates and real weights keep every
-amplitude real.
+sizes: in one pass over the prover's round-1 branches it drops those step 1
+rejects and writes each other branch once, at its image under the round-2
+uncompute and the verifier's R-into-S, then applies the step-4 test as
+explicit Hadamard gates. Its vector is real, since Hadamard gates and real
+weights keep every amplitude real.
 
 A row prover answers each row from that row's challenges alone, so the
 state is a product over rows and every result factors by row;
@@ -660,12 +661,14 @@ def run_quantum(
 
 # ---------------------------------------------------------------------------
 # Dense state-vector oracle. Same protocol on the full 2^total_qubits vector,
-# in floating point, to cross-check the sparse closed form: the round-1 state
-# is written in directly, round 2 is an explicit basis permutation and step 4
-# explicit Hadamard gates.
+# in floating point, to cross-check the sparse closed form. One pass over the
+# prover's round-1 branches |R, F(R), S = R> skips those step 1 rejects and
+# writes each other branch's amplitude once, at its image under round 2: the
+# prover's uncompute reruns its message function on S over the returned
+# columns, and the verifier adds R into S. Step 4 is explicit Hadamard gates.
 #
 # The vector is R-major: its flat index holds the R qubits above the F and S
-# qubits, which is the layout's qubit index rotated (see _DenseCodec). A gate
+# qubits, which is the layout's qubit index rotated (see _dense_index). A gate
 # on an R qubit is then a butterfly between contiguous blocks of at least
 # 2^(F and S qubits) amplitudes, done in place, and the all-zero outcome of
 # the hidden registers is a slice of the vector. The vector holds unnormalized
@@ -699,74 +702,21 @@ def _butterfly(sv: np.ndarray, qubit: int, scale: float = 1.0) -> None:
     hi += lo
 
 
-def apply_hadamard(sv: np.ndarray, qubit: int) -> np.ndarray:
-    """Apply a Hadamard gate to one qubit of a flat state vector in place."""
-    _butterfly(sv, qubit, 1.0 / math.sqrt(2.0))
-    return sv
-
-
-class _DenseCodec:
-    """Encode/decode flat indices of the R-major dense vector. The layout
-    numbers the R qubits first, then F, then S; the vector's index is that
-    qubit index rotated right by the R qubits, so an R qubit at layout offset
-    q is bit q + rest of the index, rest being the F and S qubits."""
-
-    def __init__(self, layout: RegisterLayout):
-        self.layout = layout
-        self.mask = (1 << layout.field_bits) - 1
-        self.r_bits = layout.copies * layout.n_rounds * layout.field_bits
-        self.rest = layout.total_qubits - self.r_bits
-
-    def encode(self, R: RMatrix, F: FMatrix, S: RMatrix) -> int:
-        lay = self.layout
-        idx = 0
-        for i in range(1, lay.copies + 1):
-            for j in range(1, lay.n_rounds + 1):
-                idx |= R[i - 1][j - 1] << lay.r_offset(i, j)
-                idx |= S[i - 1][j - 1] << lay.s_offset(i, j)
-                base = lay.f_offset(i, j)
-                for t, cv in enumerate(F[i - 1][j - 1]):
-                    idx |= cv << (base + t * lay.field_bits)
-        return ((idx & ((1 << self.r_bits) - 1)) << self.rest) | (idx >> self.r_bits)
-
-    def decode(self, flat: int) -> tuple[RMatrix, FMatrix, RMatrix]:
-        lay = self.layout
-        k = lay.field_bits
-        idx = (flat >> self.rest) | ((flat & ((1 << self.rest) - 1)) << self.r_bits)
-        R = tuple(
-            tuple((idx >> lay.r_offset(i, j)) & self.mask
-                  for j in range(1, lay.n_rounds + 1))
-            for i in range(1, lay.copies + 1)
-        )
-        S = tuple(
-            tuple((idx >> lay.s_offset(i, j)) & self.mask
-                  for j in range(1, lay.n_rounds + 1))
-            for i in range(1, lay.copies + 1)
-        )
-        F = tuple(
-            tuple(
-                tuple(
-                    (idx >> (lay.f_offset(i, j) + t * k)) & self.mask
-                    for t in range(lay.degree_bound + 1)
-                )
-                for j in range(1, lay.n_rounds + 1)
-            )
-            for i in range(1, lay.copies + 1)
-        )
-        return R, F, S
-
-
-def _permute_support(sv: np.ndarray, support: list[int],
-                     mapping: Callable[[int], int]) -> None:
-    """Apply a basis-state permutation in place to sv, whose nonzero
-    amplitudes sit at the indices in support: zero the old support, then
-    write each amplitude at its image."""
-    import numpy as np
-
-    idxs = np.array(support, dtype=np.intp)
-    amps = sv[idxs]
-    sv[idxs] = 0.0
-    sv[np.array([mapping(i) for i in support], dtype=np.intp)] = amps
+def _dense_index(lay: RegisterLayout, R: RMatrix, F: FMatrix, S: RMatrix) -> int:
+    """Flat index of |R, F, S> in the R-major dense vector. The layout numbers
+    the R qubits first, then F, then S; the vector's index is that qubit index
+    rotated right by the R qubits, so an R qubit at layout offset q is bit
+    q + rest of the index, rest being the F and S qubits."""
+    idx = 0
+    for i in range(1, lay.copies + 1):
+        for j in range(1, lay.n_rounds + 1):
+            idx |= R[i - 1][j - 1] << lay.r_offset(i, j)
+            idx |= S[i - 1][j - 1] << lay.s_offset(i, j)
+            base = lay.f_offset(i, j)
+            for t, cv in enumerate(F[i - 1][j - 1]):
+                idx |= cv << (base + t * lay.field_bits)
+    r_bits = lay.copies * lay.n_rounds * lay.field_bits
+    return ((idx & ((1 << r_bits) - 1)) << (lay.total_qubits - r_bits)) | (idx >> r_bits)
 
 
 def dense_oracle(
@@ -784,13 +734,13 @@ def dense_oracle(
     lay = proto.layout
     u = lay.check_u(u)
     check_dense_size(lay)
-    codec = _DenseCodec(lay)
+    n_rounds = lay.n_rounds
+    rest = lay.total_qubits - m * n_rounds * k
     sv = np.zeros(1 << lay.total_qubits, dtype=np.float64)
 
-    # Round 1: inject each branch's amplitude at |R, F(R), S = R>, keeping
-    # the list of indices written. A uniform prover's R runs over every value
-    # of the R qubits, the top of the index. The norm is the sum of the
-    # squared amplitudes written.
+    # The prover's round-1 branches (R, amplitude). A uniform prover's R runs
+    # over every value of the m x N challenge cells, cut into rows by zipping
+    # one iterator N times. The norm is the sum of the squared amplitudes.
     if isinstance(spec, BiasedSupportProver):
         proto._check_support(spec)
         if spec.weights is None:
@@ -800,49 +750,35 @@ def dense_oracle(
             branches = zip(spec.support, map(float, spec.weights))
             norm = 1
     else:
-        norm = 1 << codec.r_bits
-        branches = ((codec.decode(r << codec.rest)[0], 1.0) for r in range(norm))
-    support = []
+        cells = itertools.product(proto.field.elements(), repeat=m * n_rounds)
+        branches = ((tuple(zip(*[iter(c)] * n_rounds)), 1.0) for c in cells)
+        norm = proto.field.order ** (m * n_rounds)
     for R, amp in branches:
-        idx = codec.encode(R, proto.padded_f_matrix(spec, R), R)
-        sv[idx] = amp
-        support.append(idx)
-
-    # Step 1: project onto branches whose rows are all valid transcripts.
-    kept = []
-    for idx in support:
-        R, F, _ = codec.decode(idx)
-        if all(transcript_valid(q, proto.schedule, proto.field, R[i], F[i])
-               for i in range(lay.copies)):
-            kept.append(idx)
-        else:
-            sv[idx] = 0.0
-
-    # Rounds 2-3: prover uncomputes the returned message columns from S,
-    # verifier adds R into S. One basis permutation.
-    def round2(idx: int) -> int:
-        R, F, S = codec.decode(idx)
-        fm = proto.padded_f_matrix(spec, S)
+        # Step 1: keep the branch only if every row is a valid transcript.
+        F = proto.padded_f_matrix(spec, R)
+        if not all(transcript_valid(q, proto.schedule, proto.field, R[i], F[i])
+                   for i in range(m)):
+            continue
+        # Rounds 2-3: the prover uncomputes the returned message columns from
+        # its copy S = R, and the verifier adds R into S.
+        S = R
+        fs = proto.padded_f_matrix(spec, S)
         new_f = tuple(
             tuple(
-                tuple(a ^ c for a, c in zip(F[i][j], fm[i][j])) if j + 1 > u[i] else F[i][j]
-                for j in range(lay.n_rounds)
+                tuple(a ^ c for a, c in zip(F[i][j], fs[i][j])) if j + 1 > u[i] else F[i][j]
+                for j in range(n_rounds)
             )
-            for i in range(lay.copies)
+            for i in range(m)
         )
-        new_s = tuple(
-            tuple(sv_ ^ rv for sv_, rv in zip(S[i], R[i])) for i in range(lay.copies)
-        )
-        return codec.encode(R, new_f, new_s)
-
-    _permute_support(sv, kept, round2)
+        new_s = tuple(tuple(s ^ r for s, r in zip(S[i], R[i])) for i in range(m))
+        sv[_dense_index(lay, R, new_f, new_s)] = amp
 
     # Step 4: Hadamard every hidden challenge register, then read the
     # probability that all of those qubits are zero.
     gates = 0
-    for i in range(1, lay.copies + 1):
-        for j in range(u[i - 1], lay.n_rounds + 1):
-            base = codec.rest + lay.r_offset(i, j)
+    for i in range(1, m + 1):
+        for j in range(u[i - 1], n_rounds + 1):
+            base = rest + lay.r_offset(i, j)
             for b in range(k):
                 _butterfly(sv, base + b)
                 gates += 1
@@ -852,8 +788,8 @@ def dense_oracle(
     # all-zero outcome is index 0 on every hidden axis.
     shape, zero = [], []
     for x in reversed(u):
-        shape += [1 << (k * (lay.n_rounds - x + 1)), 1 << (k * (x - 1))]
+        shape += [1 << (k * (n_rounds - x + 1)), 1 << (k * (x - 1))]
         zero += [0, slice(None)]
-    accepted = sv.reshape(*shape, 1 << codec.rest)[tuple(zero)]
+    accepted = sv.reshape(*shape, 1 << rest)[tuple(zero)]
     np.square(accepted, out=accepted)
     return math.ldexp(float(accepted.sum()) / norm, -gates)

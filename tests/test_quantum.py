@@ -1,5 +1,4 @@
 import itertools
-import random
 import tracemalloc
 from fractions import Fraction
 
@@ -21,7 +20,6 @@ from qipsim.quantum import (
     RegisterLayout,
     RowProver,
     SparseState,
-    apply_hadamard,
     build_layout,
     dense_oracle,
     full_lookahead,
@@ -500,9 +498,9 @@ def test_hadamard_involution():
             # one gate mixes each pair of amplitudes that differ in bit qb
             pairs = ref.reshape(-1, 2, 1 << qb)
             once = np.stack([pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]], axis=1)
-            assert apply_hadamard(sv, qb) is sv
+            quantum._butterfly(sv, qb, 1 / np.sqrt(2))
             assert np.max(np.abs(sv - once.reshape(-1) / np.sqrt(2))) <= 1e-12
-            assert apply_hadamard(sv, qb) is sv
+            quantum._butterfly(sv, qb, 1 / np.sqrt(2))
             assert sv.dtype == ref.dtype
             assert np.max(np.abs(sv - ref)) <= 1e-12
 
@@ -511,19 +509,19 @@ def test_dense_codec_is_r_major():
     # the flat index is the layout's qubit index rotated: R on top, above F
     # and S, each register where RegisterLayout puts it within its part
     lay = RegisterLayout(2, 2, 1, 1)  # 4 R qubits, 8 F, 4 S
-    codec = quantum._DenseCodec(lay)
     rest = lay.total_qubits - 4
-    assert (codec.r_bits, codec.rest) == (4, rest)
     r0 = ((0, 0), (0, 0))
     f0 = (((0, 0), (0, 0)), ((0, 0), (0, 0)))
-    assert codec.encode(((1, 0), (0, 1)), f0, r0) == 0b1001 << rest
+    assert quantum._dense_index(lay, ((1, 0), (0, 1)), f0, r0) == 0b1001 << rest
     f = (((0, 1), (0, 0)), ((0, 0), (0, 0)))
-    assert codec.encode(r0, f, r0) == 1 << (lay.f_offset(1, 1) + 1 - 4)
-    assert codec.encode(r0, f0, ((0, 1), (0, 0))) == 1 << (lay.s_offset(1, 2) - 4)
-    rng = random.Random(3)
-    for _ in range(50):
-        idx = rng.randrange(1 << lay.total_qubits)
-        assert codec.encode(*codec.decode(idx)) == idx
+    assert quantum._dense_index(lay, r0, f, r0) == 1 << (lay.f_offset(1, 1) + 1 - 4)
+    assert quantum._dense_index(lay, r0, f0, ((0, 1), (0, 0))) == 1 << (lay.s_offset(1, 2) - 4)
+    # a bijection: the 16 basis states of a 4-qubit layout fill 0..15
+    small = RegisterLayout(1, 1, 1, 1)  # 1 R qubit, 2 F, 1 S
+    assert sorted(
+        quantum._dense_index(small, ((r,),), (((a, b),),), ((s_,),))
+        for r, a, b, s_ in itertools.product((0, 1), repeat=4)
+    ) == list(range(16))
 
 
 def test_dense_oracle_peak_memory():
@@ -608,4 +606,30 @@ def test_row_path_matches_dense():
         report = proto.run(spec)
         assert len(report.per_u) == 4
         for u, accept in report.per_u:
+            assert abs(float(accept) - dense_oracle(q, 1, 2, spec, u)) <= 1e-9
+
+
+# Every challenge matrix of two rows at k=1 and N=2.
+TWO_ROW_MATRICES = list(itertools.product(itertools.product((0, 1), repeat=2), repeat=2))
+
+
+@settings(max_examples=40)
+@given(formulas(max_n=1), st.sets(st.sampled_from(TWO_ROW_MATRICES), min_size=2, max_size=6))
+def test_generated_two_row_supports_match_dense(q, support):
+    # a biased support over two rows with lookahead messages takes the joint
+    # path; the messages depend on later challenges, so a dense image that
+    # reads the wrong row's u differs from the sparse value
+    f = Field(1)
+    proto = QuantumProtocol(q, f, 2)
+    assume(proto.layout.total_qubits <= DENSE_QUBITS)
+    assert proto.layout.n_rounds == 2
+    event(f"d={proto.schedule.degree_bound} support={len(support)}")
+    lookahead = full_lookahead(q, f)
+    support = sorted(support)
+    specs = [BiasedSupportProver(support, phi=lookahead.phi)]
+    if len(support) == 2:
+        specs.append(BiasedSupportProver(
+            support, weights=[Fraction(3, 5), Fraction(-4, 5)], phi=lookahead.phi))
+    for spec in specs:
+        for u, accept in proto.run(spec).per_u:
             assert abs(float(accept) - dense_oracle(q, 1, 2, spec, u)) <= 1e-9
