@@ -34,8 +34,9 @@ and F. A dense state-vector oracle cross-checks this closed form at small
 sizes: in one pass over the prover's round-1 branches it drops those step 1
 rejects and writes each other branch once, at its image under the round-2
 uncompute and the verifier's R-into-S, then applies the step-4 test as
-explicit Hadamard gates. Its vector is real, since Hadamard gates and real
-weights keep every amplitude real.
+explicit Hadamard gates. Its amplitudes are integers: each branch's weight
+over the prover's common denominator, with the gates' 1/sqrt(2) left out,
+so its sum of squares is exact.
 
 A row prover answers each row from that row's challenges alone, so the
 state is a product over rows and every result factors by row;
@@ -64,9 +65,9 @@ from .bounds import BoundParams, soundness_bound
 from .gf2k import Field, UniPoly
 from .qbf import PrenexQbf
 from .sumcheck import (
+    FieldTables,
     ProtocolSizeError,
     RoundSchedule,
-    SearchTables,
     TranscriptOracle,
     build_schedule,
     correct_polynomial,
@@ -266,7 +267,7 @@ def full_lookahead(q: PrenexQbf, field: Field,
     the whole block."""
     schedule = schedule or build_schedule(q)
     oracle = TranscriptOracle(q, field, schedule)
-    tables = SearchTables(q, field, schedule)
+    tables = FieldTables(q, field, schedule)
     memo: dict[tuple[int, ...], Optional[tuple[UniPoly, ...]]] = {}
 
     def row_phi(r_row: tuple[int, ...]) -> tuple[UniPoly, ...]:
@@ -661,21 +662,24 @@ def run_quantum(
 
 # ---------------------------------------------------------------------------
 # Dense state-vector oracle. Same protocol on the full 2^total_qubits vector,
-# in floating point, to cross-check the sparse closed form. One pass over the
-# prover's round-1 branches |R, F(R), S = R> skips those step 1 rejects and
-# writes each other branch's amplitude once, at its image under round 2: the
-# prover's uncompute reruns its message function on S over the returned
-# columns, and the verifier adds R into S. Step 4 is explicit Hadamard gates.
+# on exact integer amplitudes, to cross-check the sparse closed form. One pass
+# over the prover's round-1 branches |R, F(R), S = R> skips those step 1
+# rejects and writes each other branch's amplitude once, at its image under
+# round 2: the prover's uncompute reruns its message function on S over the
+# returned columns, and the verifier adds R into S. Step 4 is explicit
+# Hadamard gates.
 #
 # The vector is R-major: its flat index holds the R qubits above the F and S
 # qubits, which is the layout's qubit index rotated (see _dense_index). A gate
 # on an R qubit is then a butterfly between contiguous blocks of at least
 # 2^(F and S qubits) amplitudes, done in place, and the all-zero outcome of
-# the hidden registers is a slice of the vector. The vector holds unnormalized
-# amplitudes: a prover's unweighted branches are written as 1.0 and the gates
-# leave out their 1/sqrt(2), so the normalization is one factor on the
-# probability, 2^-(R qubits + gates) for a uniform prover. Every amplitude is
-# then a small integer and that probability is exact.
+# the hidden registers is a slice of the vector. The vector holds integer
+# numerators: a branch's weight over the prover's common denominator (1 for
+# an unweighted branch), and the gates leave out their 1/sqrt(2). The
+# normalization is then one factor on the probability, the sum of the
+# squared numerators times 2^gates, and that probability is exact up to its
+# one final division. Each gate at most doubles the largest magnitude, so the
+# vector takes the narrowest signed dtype that holds +-max|c| 2^gates.
 
 
 def check_dense_size(layout: RegisterLayout) -> None:
@@ -690,16 +694,25 @@ def check_dense_size(layout: RegisterLayout) -> None:
         )
 
 
-def _butterfly(sv: np.ndarray, qubit: int, scale: float = 1.0) -> None:
+def _butterfly(sv: np.ndarray, qubit: int, scale: float = 1) -> None:
     """(lo, hi) -> scale * (lo + hi, lo - hi) on every pair of amplitudes of
-    sv that differ in that qubit, in place and with no temporary."""
+    sv that differ in that qubit, in place and with no temporary. With the
+    default scale an integer vector stays integer."""
     v = sv.reshape(-1, 2, 1 << qubit)
     lo, hi = v[:, 0], v[:, 1]
     lo += hi
-    if scale != 1.0:
+    if scale != 1:
         lo *= scale
-    hi *= -2.0 * scale
+    hi *= -2 * scale
     hi += lo
+
+
+def _amplitude_dtype(peak: int) -> np.dtype:
+    """The narrowest signed integer dtype that holds -peak..peak, or object
+    (Python ints) past int64."""
+    import numpy as np
+
+    return np.min_scalar_type(-peak - 1)
 
 
 def _dense_index(lay: RegisterLayout, R: RMatrix, F: FMatrix, S: RMatrix) -> int:
@@ -736,24 +749,29 @@ def dense_oracle(
     check_dense_size(lay)
     n_rounds = lay.n_rounds
     rest = lay.total_qubits - m * n_rounds * k
-    sv = np.zeros(1 << lay.total_qubits, dtype=np.float64)
+    gates = k * sum(n_rounds - x + 1 for x in u)
 
-    # The prover's round-1 branches (R, amplitude). A uniform prover's R runs
+    # The prover's round-1 branches (R, numerator). A uniform prover's R runs
     # over every value of the m x N challenge cells, cut into rows by zipping
-    # one iterator N times. The norm is the sum of the squared amplitudes.
+    # one iterator N times. The norm is the sum of the squared numerators.
     if isinstance(spec, BiasedSupportProver):
         proto._check_support(spec)
         if spec.weights is None:
-            branches = zip(spec.support, itertools.repeat(1.0))
-            norm = len(spec.support)
+            nums = [1] * len(spec.support)
         else:
-            branches = zip(spec.support, map(float, spec.weights))
-            norm = 1
+            # weight w is (w D) / D over the least common denominator D
+            denom = math.lcm(*(w.denominator for w in spec.weights))
+            nums = [int(w * denom) for w in spec.weights]
+        branches = zip(spec.support, nums)
+        norm = sum(c * c for c in nums)
+        peak = max(map(abs, nums)) << gates
     else:
         cells = itertools.product(proto.field.elements(), repeat=m * n_rounds)
-        branches = ((tuple(zip(*[iter(c)] * n_rounds)), 1.0) for c in cells)
+        branches = ((tuple(zip(*[iter(c)] * n_rounds)), 1) for c in cells)
         norm = proto.field.order ** (m * n_rounds)
-    for R, amp in branches:
+        peak = 1 << gates
+    sv = np.zeros(1 << lay.total_qubits, dtype=_amplitude_dtype(peak))
+    for R, num in branches:
         # Step 1: keep the branch only if every row is a valid transcript.
         F = proto.padded_f_matrix(spec, R)
         if not all(transcript_valid(q, proto.schedule, proto.field, R[i], F[i])
@@ -771,17 +789,15 @@ def dense_oracle(
             for i in range(m)
         )
         new_s = tuple(tuple(s ^ r for s, r in zip(S[i], R[i])) for i in range(m))
-        sv[_dense_index(lay, R, new_f, new_s)] = amp
+        sv[_dense_index(lay, R, new_f, new_s)] = num
 
     # Step 4: Hadamard every hidden challenge register, then read the
     # probability that all of those qubits are zero.
-    gates = 0
     for i in range(1, m + 1):
         for j in range(u[i - 1], n_rounds + 1):
             base = rest + lay.r_offset(i, j)
             for b in range(k):
                 _butterfly(sv, base + b)
-                gates += 1
 
     # Row i's hidden registers are the top cells of its block of R qubits,
     # so seen as (row m hidden, row m kept, ..., row 1 kept, F and S) the
@@ -791,5 +807,9 @@ def dense_oracle(
         shape += [1 << (k * (n_rounds - x + 1)), 1 << (k * (x - 1))]
         zero += [0, slice(None)]
     accepted = sv.reshape(*shape, 1 << rest)[tuple(zero)]
-    np.square(accepted, out=accepted)
-    return math.ldexp(float(accepted.sum()) / norm, -gates)
+    # The squares summed exactly, with no temporary: in int64 while no sum can
+    # pass it, and as Python ints past that.
+    exact = np.int64 if peak * peak * accepted.size < 1 << 63 else object
+    axes = list(range(accepted.ndim))
+    total = int(np.einsum(accepted, axes, accepted, axes, [], dtype=exact))
+    return math.ldexp(float(total) / norm, -gates)

@@ -430,7 +430,7 @@ def honest_always_accepts(
 # Optimal cheating prover and full-lookahead search (exact, bottom-up).
 
 # Entries in one block of the cheater DP (assignments x candidates) and of
-# the lookahead search (challenge rows x value triples).
+# the lookahead search (challenge rows x pairs of field elements).
 _SCORE_BLOCK = 1 << 20
 
 
@@ -442,27 +442,14 @@ def _digit_rows(order: int, width: int, dtype=int) -> np.ndarray:
     return np.indices((order,) * width, dtype=dtype).reshape(width, order ** width).T
 
 
-class SearchTables:
-    """Every candidate message of one instance, evaluated once, built with
-    array operations.
-
-    For each degree cap D in the schedule, row c of ``coeffs[D]`` is the c-th
-    coefficient tuple of length D + 1 in ``itertools.product`` order, and
-    ``evals[D][c, r]`` is that polynomial at field element r, built one
-    coefficient at a time as c_0 + z * (the rest at z). For each kind code,
-    ``combine[kind][rho, f0, f1]`` is the verifier's round rule
+class FieldTables:
+    """The tables both searches read: the field's product table ``mul`` and
+    inverse table ``inv`` (``inv[0]`` is 0), and for each kind code in the
+    schedule ``combine[kind][rho, f0, f1]``, the verifier's round rule
     (``_kernels.purepy.combine_on``) on index arrays, with the multiply read
-    from the field's product table. For each round's (kind code, D),
-    ``keys[kind, D][rho, c]`` is the combine value of candidate c's f(0) and
-    f(1) when the round variable holds rho, and ``groups[kind, D][rho][v]``
-    lists, in product order, the candidates whose combine value is v: slices
-    of one stable argsort of the keys, cut at their counts.
-
-    ``triples(D)`` indexes the candidates by their values f(0), f(1) and
-    f(r), which is all the verifier reads of a message at challenge r; the
-    lookahead search runs on these triples.
-    Building raises ProtocolSizeError past the search cutoff.
-    """
+    from the product table; and ``matrix``, the matrix value at each final
+    assignment the lookahead search has read, filled as it reads them.
+    Building raises ProtocolSizeError past the search cutoff."""
 
     def __init__(self, q: PrenexQbf, field: Field, schedule: RoundSchedule):
         import numpy as np
@@ -472,64 +459,63 @@ class SearchTables:
         if order ** (dmax + 1) * order ** (q.n + 1) > MAX_SEARCH_WORK:
             raise ProtocolSizeError("candidate search space exceeds the cutoff")
         small = np.min_scalar_type(order - 1)  # field elements; sorts by radix
-        elems = np.arange(order, dtype=small)
-        mul = np.array([[field.ops.gf_mul(a, b, field.g, field.k) for b in range(order)]
-                        for a in range(order)], dtype=small)
-        self.coeffs: dict[int, np.ndarray] = {}
-        self.evals: dict[int, np.ndarray] = {}
+        self.elems = elems = np.arange(order, dtype=small)
+        self.mul = mul = np.array([[field.ops.gf_mul(a, b, field.g, field.k)
+                                    for b in range(order)] for a in range(order)], dtype=small)
+        self.inv = (mul == 1).argmax(axis=1).astype(small)
         self.combine: dict[int, np.ndarray] = {}
-        self.keys: dict[tuple[int, int], np.ndarray] = {}
-        self.groups: dict[tuple[int, int], list[list[np.ndarray]]] = {}
-        self._triples: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for kind, bound in zip(schedule.kinds, schedule.degree_bounds):
-            if bound not in self.coeffs:
-                # from the empty tuple, each pass puts a coefficient c in
-                # front of every tuple p so far: c + z * p(z)
-                evals = np.zeros((1, order), dtype=small)
-                for _ in range(bound + 1):
-                    evals = (elems[:, None, None] ^ mul[evals, elems]).reshape(-1, order)
-                self.coeffs[bound] = _digit_rows(order, bound + 1, small)
-                self.evals[bound] = evals
+        for kind in schedule.kinds:
             if kind not in self.combine:
                 rule = _kernels.purepy.combine_on(
                     lambda a, b, g, k: mul[a, b], operator.xor, kind,
                     elems[:, None, None], elems[:, None], elems, field.g, field.k)
                 self.combine[kind] = np.broadcast_to(rule, (order,) * 3)
+        self.matrix: dict[tuple[int, ...], int] = {}
+
+
+class SearchTables:
+    """Every candidate message of one instance, evaluated once, built with
+    array operations: the optimal cheater scores them all.
+
+    For each degree cap D in the schedule, row c of ``coeffs[D]`` is the c-th
+    coefficient tuple of length D + 1 in ``itertools.product`` order, and
+    ``evals[D][c, r]`` is that polynomial at field element r, built one
+    coefficient at a time as c_0 + z * (the rest at z). For each round's
+    (kind code, D), ``keys[kind, D][rho, c]`` is the combine value
+    (``FieldTables.combine``) of candidate c's f(0) and f(1) when the round
+    variable holds rho, and ``groups[kind, D][rho][v]`` lists, in product
+    order, the candidates whose combine value is v: slices of one stable
+    argsort of the keys, cut at their counts. Building raises
+    ProtocolSizeError past the search cutoff.
+    """
+
+    def __init__(self, q: PrenexQbf, field: Field, schedule: RoundSchedule):
+        import numpy as np
+
+        order = field.order
+        tables = FieldTables(q, field, schedule)
+        elems, mul = tables.elems, tables.mul
+        self.coeffs: dict[int, np.ndarray] = {}
+        self.evals: dict[int, np.ndarray] = {}
+        self.keys: dict[tuple[int, int], np.ndarray] = {}
+        self.groups: dict[tuple[int, int], list[list[np.ndarray]]] = {}
+        for kind, bound in zip(schedule.kinds, schedule.degree_bounds):
+            if bound not in self.coeffs:
+                # from the empty tuple, each pass puts a coefficient c in
+                # front of every tuple p so far: c + z * p(z)
+                evals = np.zeros((1, order), dtype=elems.dtype)
+                for _ in range(bound + 1):
+                    evals = (elems[:, None, None] ^ mul[evals, elems]).reshape(-1, order)
+                self.coeffs[bound] = _digit_rows(order, bound + 1, elems.dtype)
+                self.evals[bound] = evals
             if (kind, bound) not in self.keys:
                 evals = self.evals[bound]
-                keys = self.combine[kind][:, evals[:, 0], evals[:, 1]]
+                keys = tables.combine[kind][:, evals[:, 0], evals[:, 1]]
                 self.keys[kind, bound] = keys
                 self.groups[kind, bound] = groups = []
                 for row, members in zip(keys, np.argsort(keys, axis=1, kind="stable")):
                     ends = np.bincount(row, minlength=order).cumsum().tolist()
                     groups.append([members[lo:hi] for lo, hi in zip([0, *ends], ends)])
-
-    def triples(self, bound: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(first, made)`` for degree cap ``bound``, built on first use:
-        ``first[r, a, b, e]`` is the first candidate in product order with
-        f(0), f(1), f(r) = a, b, e, or ``len(coeffs[bound])`` when none has
-        them, and bit e of ``made[r, a, b]`` is set when one has."""
-        import numpy as np
-
-        found = self._triples.get(bound)
-        if found is None:
-            evals = self.evals[bound]
-            n_cand, order = evals.shape
-            # Candidate c_0 * |F|^D + t has f(0) = c_0, f(1) = c_0 + s(1) and
-            # f(r) = c_0 + s(r), where s is candidate t: the first candidate
-            # with a triple is c_0 followed by the first t with s(1), s(r).
-            tails = n_cand // order
-            codes = (np.arange(order) * order + evals[:tails, 1:2]) * order + evals[:tails]
-            codes, at = np.unique(codes.ravel(), return_index=True)  # code of (r, s(1), s(r))
-            tail = np.full(order ** 3, tails, dtype=np.min_scalar_type(n_cand))
-            tail[codes] = at // order
-            a, b, e = np.ogrid[:order, :order, :order]
-            tail = tail.reshape((order,) * 3)[:, a ^ b, a ^ e]
-            first = np.where(tail < tails, a * tails + tail, n_cand).astype(tail.dtype)
-            bits = np.uint64(1) << np.arange(order, dtype=np.uint64)
-            made = np.bitwise_or.reduce(np.where(first < n_cand, bits, 0), axis=3)
-            found = self._triples[bound] = first, made
-        return found
 
 
 class TabulatedPolicy:
@@ -627,16 +613,70 @@ def _check_row(field: Field, schedule: RoundSchedule, r_row: Sequence[int]) -> l
 
 def _free_width(order: int, n_rounds: int) -> int:
     """How many trailing challenges a block of the lookahead search leaves
-    free: the most whose rows, |F|^3 triples each, fit in ``_SCORE_BLOCK``
+    free: the most whose rows, |F|^2 pairs each, fit in ``_SCORE_BLOCK``
     entries (none when one row is already past it)."""
     width = 0
-    while width < n_rounds and order ** (width + 4) <= _SCORE_BLOCK:
+    while width < n_rounds and order ** (width + 3) <= _SCORE_BLOCK:
         width += 1
     return width
 
 
+def _first_tails(tables: FieldTables, bound: int, r, a, b, e):
+    """The first message of degree at most D = ``bound`` in
+    ``itertools.product`` order with f(0), f(1), f(r) = a, b, e, on index
+    arrays that broadcast together: (found, p, q), the message being
+    (a, 0, ..., 0, p, q), or (a, q) when D = 1.
+
+    With x = a + b and y = a + e, the tail c_1..c_D must sum to x and have
+    c_1 r + ... + c_D r^D = y. When D = 1 or r is 0 or 1, the first equation
+    fixes the second: the tail is (0, ..., 0, x), found when e = a + x r.
+    Otherwise c_1..c_(D-2) are 0, and c_(D-1) + c_D = x with
+    c_(D-1) r^(D-1) + c_D r^D = y, a system of determinant r^(D-1) (r + 1),
+    which is not 0: c_D = q = (y / r^(D-1) + x) / (r + 1) and
+    c_(D-1) = p = x + q."""
+    import numpy as np
+
+    mul, inv = tables.mul, tables.inv
+    x = a ^ b
+    found = a ^ mul[x, r] == e
+    if bound == 1:
+        return found, 0, x
+    generic = r > 1
+    top = r  # r^(D-1)
+    for _ in range(bound - 2):
+        top = mul[top, r]
+    q = np.where(generic, mul[mul[a ^ e, inv[top]] ^ x, inv[r ^ 1]], x)
+    return found | generic, np.where(generic, x ^ q, 0), q
+
+
+def _reach(tables: FieldTables, bound: int, r: np.ndarray, win: np.ndarray) -> np.ndarray:
+    """reach[i, a, b]: whether a message of degree at most ``bound`` with
+    f(0), f(1) = a, b has its value at r[i] in the set win[i], a boolean row
+    over F. When the degree cap is 1 or r[i] is 0 or 1, the value is
+    a + (a + b) r[i] (``_first_tails``); otherwise every value is reached."""
+    import numpy as np
+
+    elems = tables.elems
+    values = elems[:, None] ^ tables.mul[elems[:, None] ^ elems, r[:, None, None]]
+    reach = win[np.arange(len(win))[:, None, None], values]
+    if bound > 1:
+        reach |= ((r > 1) & win.any(axis=1))[:, None, None]
+    return reach
+
+
+def _distinct_rows(sets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a boolean array, and each row's index among
+    them: one sort of the rows packed into bytes."""
+    import numpy as np
+
+    packed = np.packbits(sets, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return sets[first], inverse.ravel()
+
+
 def _lookahead_search(q: PrenexQbf, field: Field, schedule: RoundSchedule,
-                      tables: SearchTables, prefix: Sequence[int], send: bool
+                      tables: FieldTables, prefix: Sequence[int], send: bool
                       ) -> tuple[np.ndarray, np.ndarray, list[tuple[UniPoly, ...]]]:
     """The full-lookahead search on the block of challenge rows that start
     with ``prefix``: the rows in product order, whether each has a message
@@ -644,58 +684,89 @@ def _lookahead_search(q: PrenexQbf, field: Field, schedule: RoundSchedule,
     that has one, in order.
 
     The verifier reads round j's message only through f(0), f(1) and
-    f(r_j), so the search runs on those value triples (``tables.triples``).
-    With the row fixed, round j's assignment is fixed too, so the state is
-    just the claim v. A backward pass builds the win sets as bitmasks over
-    the claims (the search cutoff keeps |F| <= 32): win_{N+1} holds the
-    matrix value at the row's final assignment, and win_j holds v when some
-    pair f(0), f(1) with combine value v has a candidate whose value at r_j
-    is in win_{j+1}. A forward pass from claim 1 then sends, each round, the
-    first candidate in ``itertools.product`` order whose combine value is
-    the claim and whose child claim can still win: the message vector a
-    depth-first search in product order finds."""
+    f(r_j), and the first message in ``itertools.product`` order with given
+    values has a closed form (``_first_tails``), so no candidate is
+    enumerated. With the row fixed, round j's assignment is fixed too, so
+    the state is just the claim v. A backward pass builds the win sets,
+    boolean rows over F: win_{N+1} holds the matrix value at the row's final
+    assignment, and win_j holds v when some pair f(0), f(1) with combine
+    value v has a message whose value at r_j is in win_{j+1} (``_reach``).
+    win_j depends on the row only through rho, r_j and win_{j+1}, so each
+    round computes it once per distinct triple, and keeps each distinct set
+    once. A forward pass from claim 1 then sends, each round, the first
+    message in product order whose combine value is the claim and whose
+    child claim can still win: the message vector a depth-first search in
+    product order finds."""
     import numpy as np
 
-    bit = np.uint64(1)
-    n_rounds = schedule.n_rounds
-    rows = np.empty((field.order ** (n_rounds - len(prefix)), n_rounds), dtype=np.intp)
+    order, n_rounds = field.order, schedule.n_rounds
+    rows = np.empty((order ** (n_rounds - len(prefix)), n_rounds), dtype=np.intp)
     rows[:, :len(prefix)] = prefix
-    rows[:, len(prefix):] = _digit_rows(field.order, n_rounds - len(prefix))
+    rows[:, len(prefix):] = _digit_rows(order, n_rounds - len(prefix))
     assign = np.zeros((len(rows), q.n), dtype=np.intp)
     rounds = []  # (kind code, degree cap, rho, r_j), rho and r_j per row
     for j, (kind, t, bound) in enumerate(zip(schedule.kinds, schedule.tvars,
                                              schedule.degree_bounds)):
         rounds.append((kind, bound, assign[:, t].copy(), rows[:, j]))
         assign[:, t] = rows[:, j]
-    codes = assign @ field.order ** np.arange(q.n)
+    codes = assign @ order ** np.arange(q.n)
     _, final, at_final = np.unique(codes, return_index=True, return_inverse=True)
-    matrix = np.array([field.ops.eval_formula(schedule.prog, a, field.g, field.k)
-                       for a in assign[final].tolist()], dtype=np.uint64)
-    wins = [bit << matrix[at_final]]
+    finals = list(map(tuple, assign[final].tolist()))
+    for a in finals:
+        if a not in tables.matrix:
+            tables.matrix[a] = field.ops.eval_formula(schedule.prog, a, field.g, field.k)
+    at = np.array([tables.matrix[a] for a in finals])[at_final.ravel()]
+    # win_{N+1}, and each win set after it, as (its distinct sets, the row's
+    # index into them); steps[j - 1] holds round j's reach for each
+    # distinct (win_{j+1}, rho, r_j) and each row's index into those
+    sets = np.eye(order, dtype=bool)
+    wins = [(sets, at)]
+    steps = []
     for kind, bound, rho, r in reversed(rounds):
-        reach = tables.triples(bound)[1][r] & wins[-1][:, None, None] != 0
-        claims = np.where(reach, bit << tables.combine[kind][rho], 0)
-        wins.append(np.bitwise_or.reduce(claims, axis=(1, 2)))
+        # past a degree cap of 1, the closed forms read only whether r_j is
+        # 0, 1 or neither
+        r_class = r if bound == 1 else np.minimum(r, 2)
+        keys, inverse = np.unique((at * order + rho) * order + r_class, return_inverse=True)
+        which, key_rho, key_r = keys // (order * order), keys // order % order, keys % order
+        reach = _reach(tables, bound, key_r, sets[which])
+        i, a, b = np.nonzero(reach)
+        claims = np.zeros((len(keys), order), dtype=bool)
+        claims[i, tables.combine[kind][key_rho[i], a, b]] = True
+        sets, index = _distinct_rows(claims)
+        at = index[inverse.ravel()]
+        wins.append((sets, at))
+        steps.append((reach, inverse.ravel()))
     wins.reverse()  # wins[j - 1] is win_j
-    won = wins[0] >> bit & bit != 0
+    steps.reverse()
+    won = sets[at, 1]
     if not send:
         return rows, won, []
     live = np.flatnonzero(won)
-    at = np.arange(len(live))
+    each = np.arange(len(live))
     v = np.ones(len(live), dtype=np.intp)
-    values = np.arange(field.order, dtype=np.uint64)
+    elems = tables.elems
     sent = []
-    for (kind, bound, rho, r), win in zip(rounds, wins[1:]):
-        rho, r, win = rho[live], r[live], win[live]
-        first, made = tables.triples(bound)
+    for (kind, bound, rho, r), (sets, at), (reach, inverse) in zip(rounds, wins[1:], steps):
+        rho, r, win = rho[live], r[live], sets[at[live]]
         # the pairs f(0), f(1) = a, b that meet the claim and can still win;
         # f(0) leads the product order, so the message has the least such a
-        ok = (tables.combine[kind][rho] == v[:, None, None]) & (made[r] & win[:, None, None] != 0)
+        ok = (tables.combine[kind][rho] == v[:, None, None]) & reach[inverse[live]]
         a = ok.any(axis=2).argmax(axis=1)
-        ends = ok[at, a][:, :, None] & (win[:, None] >> values & bit != 0)[:, None, :]
-        c = np.where(ends, first[r, a], len(tables.coeffs[bound])).min(axis=(1, 2))
-        sent.append(tables.coeffs[bound][c].tolist())
-        v = tables.evals[bound][c, r]
+        # then the least tail over those b and every winning value e of f(r)
+        found, p, tail = _first_tails(tables, bound, r[:, None, None], a[:, None, None],
+                                      elems[:, None], elems)
+        ends = found & ok[each, a][:, :, None] & win[:, None, :]
+        codes = np.where(ends, np.asarray(p, dtype=np.intp) * order + tail, order * order)
+        codes = codes.reshape(len(live), order * order)
+        pick = codes.argmin(axis=1)
+        best = codes[each, pick]
+        msgs = np.zeros((len(live), bound + 1), dtype=np.intp)
+        msgs[:, 0] = a
+        msgs[:, bound] = best % order
+        if bound > 1:
+            msgs[:, bound - 1] = best // order
+        sent.append(msgs.tolist())
+        v = pick % order
     return rows, won, [tuple(map(tuple, msgs)) for msgs in zip(*sent)]
 
 
@@ -704,7 +775,7 @@ def accepting_row_messages(
     field: Field,
     r_row: Sequence[int],
     schedule: RoundSchedule | None = None,
-    tables: SearchTables | None = None,
+    tables: FieldTables | None = None,
 ) -> Optional[tuple[UniPoly, ...]]:
     """A message vector the verifier accepts when the whole challenge string
     is known in advance, or None when no such vector exists: what a prover
@@ -714,7 +785,7 @@ def accepting_row_messages(
     checked when the tables are built."""
     schedule = schedule or build_schedule(q)
     if tables is None:
-        tables = SearchTables(q, field, schedule)
+        tables = FieldTables(q, field, schedule)
     row = _check_row(field, schedule, r_row)
     _, won, sent = _lookahead_search(q, field, schedule, tables, row, True)
     return sent[0] if won[0] else None
@@ -725,7 +796,7 @@ def lookahead_block(
     field: Field,
     r_row: Sequence[int],
     schedule: RoundSchedule,
-    tables: SearchTables,
+    tables: FieldTables,
 ) -> dict[tuple[int, ...], Optional[tuple[UniPoly, ...]]]:
     """``accepting_row_messages`` for r_row and every row that shares all
     but its last few challenges with it, from one block of the lookahead
@@ -744,7 +815,7 @@ def winnable_rows(q: PrenexQbf, field: Field, schedule: RoundSchedule | None = N
     The sweep cutoff is checked before the search cutoff."""
     schedule = schedule or build_schedule(q)
     sweep_size(field, schedule)
-    tables = SearchTables(q, field, schedule)
+    tables = FieldTables(q, field, schedule)
     fixed = schedule.n_rounds - _free_width(field.order, schedule.n_rounds)
     return sum(int(_lookahead_search(q, field, schedule, tables, prefix, False)[1].sum())
                for prefix in itertools.product(field.elements(), repeat=fixed))

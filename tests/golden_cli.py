@@ -85,6 +85,10 @@ def invocations() -> list[list[str]]:
         "--prover", "lookahead:full", "--dense-check")
     add("quantum", "run", "--formula", "A x1 : x1", "--k", "4", "--m", "3",
         "--prover", "lookahead:full")
+    # The integer dense vector of a uniform and of a one-matrix prover at 20 qubits.
+    for prover in ("honest", "biased:single"):
+        add("quantum", "run", "--formula", "A x1 : x1", "--k", "2", "--m", "1",
+            "--prover", prover, "--dense-check")
     # README's first example.
     add("classical", "run", "--formula", "A x1 E x2 : (x1 | ~x2) & (~x1 | x2)", "--k", "4",
         "--trials", "100")
@@ -130,6 +134,9 @@ def invocations() -> list[list[str]]:
                     ("E x1 A x2 E x3 : (x1 | x2 | x3) & (x1 | ~x2 | x3) & (~x1 | x2 | ~x3)",
                      "2")):
         add("classical", "exhaustive", "--formula", text, "--k", k, "--prover", "honest")
+    # The lookahead search on all 2^20 rows of an n = 2, k = 4 scan.
+    add("classical", "exhaustive", "--formula", "A x1 A x2 : x1 & x2", "--k", "4",
+        "--prover", "lookahead:full")
     # 2^23 formula evaluations behind round 1's message: refused.
     add("classical", "run", "--formula", _chain("A", 24, "x1 | ~x1"), "--k", "8")
 

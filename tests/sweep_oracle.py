@@ -68,7 +68,9 @@ def honest_sweep(
             ys.append(quantified_value(kinds, tvars, j + 1, prog, assign, g, k, {}))
         assign[t] = old
         cs = interpolate(range(npts), ys, g, k)
-        if combine(kinds[j], old, ys[0], ys[1], g, k) != v:
+        # with a degree cap of 0 the message is the constant ys[0]
+        f1 = ys[1] if npts > 1 else poly_eval(cs, 1, g, k)
+        if combine(kinds[j], old, ys[0], f1, g, k) != v:
             return False
         for r in range(size):
             assign[t] = r

@@ -1,9 +1,11 @@
 """The bottom-up cheater DP and row search against the slow oracles, on
 generated formulas, plus frozen values beyond the oracles' reach."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from qipsim.gf2k import Field
 from qipsim.qbf import parse_qbf
 from qipsim.quantum import full_lookahead
 from qipsim.sumcheck import (
+    FieldTables,
     SearchTables,
     TranscriptOracle,
     accepting_row_messages,
@@ -72,7 +75,7 @@ def test_row_search_matches_oracle(inst):
     q, field, schedule = inst
     rows = list(itertools.product(field.elements(), repeat=schedule.n_rounds))
     want = [oracle_row_messages(q, field, row, schedule) for row in rows]
-    tables = SearchTables(q, field, schedule)
+    tables = FieldTables(q, field, schedule)
     for row, w in zip(rows, want):
         assert accepting_row_messages(q, field, row, schedule, tables=tables) == w, row
     block, won, sent = sumcheck._lookahead_search(q, field, schedule, tables, (), True)
@@ -86,6 +89,22 @@ def test_row_search_matches_oracle(inst):
         assert phi(row) == (w if w is not None else honest.correct_row(row)), row
 
 
+@pytest.mark.parametrize("text", ["A x1 : x1", "E x1 A x2 : x1 & x2", "A x1 : x1 & x1 & x1"])
+def test_row_search_with_linear_reduce_rounds(text):
+    # a reduce round capped at degree 1 reads every challenge r_j, not only
+    # whether it is 0, 1 or neither: with rho = r_j its claims are the next
+    # win set, with any other rho they are all of F
+    q, field = parse_qbf(text), Field(2)
+    schedule = build_schedule(q)
+    linear = dataclasses.replace(schedule, degree_bounds=(1,) * schedule.n_rounds)
+    rows = list(itertools.product(field.elements(), repeat=schedule.n_rounds))
+    want = [oracle_row_messages(q, field, row, linear) for row in rows]
+    _, won, sent = sumcheck._lookahead_search(q, field, linear,
+                                              FieldTables(q, field, linear), (), True)
+    assert won.tolist() == [w is not None for w in want]
+    assert sent == [w for w in want if w is not None]
+
+
 @pytest.mark.parametrize("text, k", [
     ("A x1 A x2 : x1 & x2", 2),
     ("E x1 A x2 : (x1 | ~x2) & (~x1 | x2)", 1),
@@ -93,10 +112,10 @@ def test_row_search_matches_oracle(inst):
 ])
 @pytest.mark.parametrize("block", [32, 1 << 9])
 def test_blocked_search_matches_one_block(monkeypatch, text, k, block):
-    # a block holds |F|^w rows of |F|^3 triples each: 32 entries hold four
-    # rows at k = 1 and less than one row at k >= 2, so there every row is
-    # its own block; 2^9 entries hold four rows at k = 2 and one at k = 3;
-    # the default holds every row of these instances in one block
+    # a block holds |F|^w rows of |F|^2 pairs each: 32 entries hold eight
+    # rows at k = 1 and less than two at k >= 2, so there every row is its
+    # own block; 2^9 entries hold 16 rows at k = 2 and eight at k = 3; the
+    # default holds every row of these instances in one block
     q, field = parse_qbf(text), Field(k)
     schedule = build_schedule(q)
     rows = list(itertools.product(field.elements(), repeat=schedule.n_rounds))
@@ -109,8 +128,52 @@ def test_blocked_search_matches_one_block(monkeypatch, text, k, block):
     assert [phi(row) for row in reversed(rows)] == want
 
 
+def _first_by_values(field, bound):
+    """(r, f(0), f(1), f(r)) -> the first coefficient tuple of length
+    bound + 1 in product order with those values, by enumeration."""
+    first = {}
+    for c in itertools.product(field.elements(), repeat=bound + 1):
+        ys = [field.poly_eval(c, r) for r in field.elements()]
+        for r in field.elements():
+            first.setdefault((r, ys[0], ys[1], ys[r]), c)
+    return first
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_first_messages_match_enumeration(k):
+    # the lookahead search's closed form against every candidate: the first
+    # message with each (r, f(0), f(1), f(r)), and which pairs reach a win set
+    field = Field(k)
+    order = field.order
+    q = parse_qbf("A x1 : x1 & x1 & x1")
+    tables = FieldTables(q, field, build_schedule(q))
+    assert all(field.mul(a, int(tables.inv[a])) == 1 for a in range(1, order))
+    r, a, b, e = np.indices((order,) * 4, dtype=np.intp)
+    singles = np.eye(order, dtype=bool)
+    wins = [np.zeros(order, dtype=bool), *singles, np.ones(order, dtype=bool)]
+    if k <= 2:
+        wins += [np.array(w, dtype=bool)
+                 for w in itertools.product((False, True), repeat=order)]
+    for bound in (1, 2, 3):
+        first = _first_by_values(field, bound)
+        found, p, tail = sumcheck._first_tails(tables, bound, r, a, b, e)
+        found, p, tail = np.broadcast_arrays(found, p, tail)
+        for key in itertools.product(range(order), repeat=4):
+            want = first.get(key)
+            assert bool(found[key]) == (want is not None), (bound, key)
+            if want is not None:
+                head = (key[1], *[0] * (bound - 2), int(p[key])) if bound > 1 else (key[1],)
+                assert (*head, int(tail[key])) == want, (bound, key)
+        for win in wins:
+            rs = np.arange(order)
+            reach = sumcheck._reach(tables, bound, rs, np.tile(win, (order, 1)))
+            for rr, aa, bb in itertools.product(range(order), repeat=3):
+                want = any((rr, aa, bb, ee) in first for ee in np.flatnonzero(win).tolist())
+                assert reach[rr, aa, bb] == want, (bound, win.tolist(), rr, aa, bb)
+
+
 def test_combine_keys_match_brute_force():
-    # every table of the search, from candidates to value triples; the
+    # every table of the cheater, from candidates to combine keys; the
     # quantifier rules ignore rho, and every rho slice must still be the rule
     for text in ("E x1 A x2 : x1 & x2", "A x1 : x1 & x1 & x1"):
         q = parse_qbf(text)
@@ -125,14 +188,6 @@ def test_combine_keys_match_brute_force():
                 evals = tables.evals[bound].tolist()
                 for c, poly in enumerate(coeffs.tolist()):
                     assert evals[c] == [field.poly_eval(poly, r) for r in range(order)]
-                first, made = tables.triples(bound)
-                triples = {}  # (r, f(0), f(1), f(r)) -> first candidate with them
-                for c, ys in enumerate(evals):
-                    for r in range(order):
-                        triples.setdefault((r, ys[0], ys[1], ys[r]), c)
-                for r, a, b, e in itertools.product(range(order), repeat=4):
-                    assert first[r, a, b, e] == triples.get((r, a, b, e), len(coeffs))
-                    assert (int(made[r, a, b]) >> e & 1) == ((r, a, b, e) in triples)
             assert {kind for kind, _ in tables.keys} == set(schedule.kinds)
             for (kind, bound), keys in tables.keys.items():
                 f01 = tables.evals[bound][:, :2].tolist()

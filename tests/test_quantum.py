@@ -460,7 +460,9 @@ DENSE_QUBITS = 20
 @given(formulas(max_n=1), st.sampled_from((1, 2)), st.sampled_from(("honest", "lookahead")))
 def test_step4_on_filtered_state_matches_dense(q, k, kind):
     # the dense oracle applies round 2 as an explicit permutation; the sparse
-    # engine reads step 4 off the step-1-filtered state without it
+    # engine reads step 4 off the step-1-filtered state without it. A uniform
+    # prover's norm is a power of 2, so the dense value is the float of the
+    # exact one, not just near it.
     f = Field(k)
     proto = QuantumProtocol(q, f, 1)
     assume(proto.layout.total_qubits <= DENSE_QUBITS)
@@ -469,7 +471,7 @@ def test_step4_on_filtered_state_matches_dense(q, k, kind):
     _, kept = proto.step1_filter(proto.prepare_round1(spec))
     for u in proto.all_u():
         sparse = proto.step4_accept_prob(kept, u)
-        assert abs(float(sparse) - dense_oracle(q, k, 1, spec, u)) <= 1e-9
+        assert dense_oracle(q, k, 1, spec, u) == float(sparse)
 
 
 @settings(max_examples=40)
@@ -525,8 +527,9 @@ def test_dense_codec_is_r_major():
 
 
 def test_dense_oracle_peak_memory():
-    # every gate runs in place: the 20-qubit call allocates its 8 MiB vector
-    # and little else
+    # every gate runs in place and the squares are summed without a
+    # temporary: the 20-qubit call allocates its 1 MiB int8 vector and little
+    # else
     q, f = parse_qbf("A x1 : x1"), Field(2)
     spec = full_lookahead(q, f)
     assert QuantumProtocol(q, f, 1).layout.total_qubits == 20
@@ -538,7 +541,7 @@ def test_dense_oracle_peak_memory():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * (8 << 20), (u, peak)
+        assert peak <= 1.25 * (1 << 20), (u, peak)
 
 
 def test_dense_oracle_honest_true():
@@ -589,6 +592,53 @@ def test_weighted_amplitudes_over_common_denominator():
     assert report.events == [0]
     for u, accept in report.per_u:
         assert abs(float(accept) - dense_oracle(q, 2, 1, spec, u)) <= 1e-9
+
+
+def test_amplitude_dtype_is_narrowest():
+    # the vector holds every amplitude in -peak..peak, peak = max|c| 2^gates
+    for peak, dtype in ((1, np.int8), (127, np.int8), (128, np.int16), (2**15 - 1, np.int16),
+                        (2**15, np.int32), (2**31 - 1, np.int32), (2**31, np.int64),
+                        (2**63 - 1, np.int64), (2**63, object)):
+        assert quantum._amplitude_dtype(peak) == np.dtype(dtype), peak
+
+
+def test_dense_amplitudes_reach_the_bound():
+    # the honest prover on a true formula fills every group of kept
+    # registers, so the all-zero amplitude of each is 2^gates, the bound
+    # itself (16 at u = (1,), k = 2); the squares pass int8 and must still
+    # be summed exactly
+    q = parse_qbf("E x1 : x1")
+    for k in (1, 2):
+        for u in ((1,), (2,)):
+            assert dense_oracle(q, k, 1, HonestProver(), u) == 1.0
+
+
+def _pythagorean(m):
+    # (m^2 - 1, 2m) over m^2 + 1: two weights whose squares sum to 1
+    c = m * m + 1
+    return Fraction(m * m - 1, c), Fraction(2 * m, c)
+
+
+def test_weighted_amplitudes_past_int8():
+    # numerators 5 and 12 over 13 give a bound of 12 * 2^4 = 192 at k = 2,
+    # u = (1,): int16. Numerators 119 and 120 over 169 share a group at
+    # u = (2,), k = 1, so its amplitude is 239 after one gate: an int8
+    # vector would wrap. The dense value is the float of the exact one.
+    q = parse_qbf("E x1 : x1")
+    for k, weights in ((2, (Fraction(5, 13), Fraction(12, 13))),
+                       (1, (Fraction(119, 169), Fraction(120, 169)))):
+        spec = BiasedSupportProver([((0, 0),), ((0, 1),)], weights=list(weights))
+        report = QuantumProtocol(q, Field(k), 1).run(spec)
+        for u, accept in report.per_u:
+            assert dense_oracle(q, k, 1, spec, u) == float(accept), (k, u)
+    assert quantum._amplitude_dtype(12 << 4) == np.int16
+    assert report.per_u[1] == ((2,), Fraction(239 ** 2, 2 * 169 ** 2))
+    # numerators near 2^40 fit an int64 vector, but their squares are summed
+    # as Python ints; near 2^64 the vector itself holds Python ints
+    for m in (1 << 20, 1 << 32):
+        spec = BiasedSupportProver([((0, 0),), ((0, 1),)], weights=list(_pythagorean(m)))
+        for u, accept in QuantumProtocol(q, Field(1), 1).run(spec).per_u:
+            assert dense_oracle(q, 1, 1, spec, u) == pytest.approx(float(accept), rel=1e-12)
 
 
 def test_row_path_matches_dense():

@@ -494,6 +494,24 @@ def test_honest_sweep_matches_prefix_walk(q, k, variant):
     assert verdict == oracle_always_accepts(q, Field(k), schedule)
 
 
+def test_honest_sweep_with_quantifier_caps_at_zero():
+    # a quantifier round's message is then a constant, so its lines must be
+    # flat. Round 2's reduce on x_1 leaves round 1's lines linear, so with a
+    # cap of 1 or more round 1's check cannot fail; at cap 0 it decides the
+    # verdict of every true formula whose value depends on x_1
+    verdicts = set()
+    for q in CORPUS:
+        schedule = build_schedule(q)
+        flat = dataclasses.replace(schedule, degree_bounds=tuple(
+            d if kind == K_REDUCE else 0
+            for kind, d in zip(schedule.kinds, schedule.degree_bounds)))
+        for k in (1, 2):
+            verdict = honest_always_accepts(q, Field(k), flat)
+            assert verdict == oracle_always_accepts(q, Field(k), flat), (q, k)
+            verdicts.add((eval_qbf(q), verdict))
+    assert (True, True) in verdicts and (True, False) in verdicts
+
+
 # True, yet with the last round's bound lowered the honest message misfits
 # at k = 2 only at some settings of the variables bound before that round:
 # a sweep that tried one setting of them would accept.
