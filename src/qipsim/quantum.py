@@ -45,9 +45,17 @@ out. Every other prover is simulated on all m rows. Either way the run's u
 vectors are drawn first, and a run past ``MAX_BRANCHES`` of them,
 exhaustive or sampled, is refused before any simulation.
 
-The sparse engine is exact integer and rational arithmetic. numpy is
-imported only inside the dense oracle, and by the lookahead prover's row
-search in ``sumcheck``.
+Two engines compute the same stages. The sparse engine holds branches in a
+dict of ``BasisState``s and replays the scalar verifier on each; it runs
+the honest and biased provers, a plain ``RowProver(row_phi)`` and every
+whole-matrix prover, and it is exact integer and rational arithmetic with
+no numpy. The row prover ``full_lookahead`` returns also gives its
+messages on every row at once, as arrays from the lookahead search, so its
+one-row run takes the array engine: step 1 is the verifier on arrays
+(``sumcheck.verify_rows``), step 4 integer group counts per u, and the
+event a comparison of the first message column. numpy is imported only
+inside that engine, the dense oracle and the lookahead search in
+``sumcheck``.
 """
 
 from __future__ import annotations
@@ -72,7 +80,9 @@ from .sumcheck import (
     build_schedule,
     correct_polynomial,
     lookahead_block,
+    lookahead_rows,
     transcript_valid,
+    verify_rows,
 )
 
 if TYPE_CHECKING:
@@ -208,14 +218,28 @@ class LookaheadProver:
         return self.phi(R)
 
 
+RowArrays = Callable[[PrenexQbf, Field], Optional[tuple[FieldTables, "np.ndarray", "np.ndarray"]]]
+
+
 class RowProver(LookaheadProver):
     """Uniform over all challenge matrices, with each row's messages a
     function of that row's challenges alone (which may still look ahead
     within the row). The rows never interact, so ``QuantumProtocol.run``
-    simulates one row and multiplies the results out."""
+    simulates one row and multiplies the results out.
 
-    def __init__(self, row_phi: Callable[[tuple[int, ...]], tuple[UniPoly, ...]]):
+    ``arrays``, when given, is the same messages on every row at once:
+    called with a protocol's formula and field, it returns (tables, rows,
+    msgs) when the prover answers for them, else None. ``rows`` holds the
+    |F|^N challenge rows in product order, ``msgs`` (rows x N x (d + 1))
+    each row's zero-padded messages, and ``tables`` the ``FieldTables``
+    the one-row simulation verifies them with."""
+
+    arrays: Optional[RowArrays] = None
+
+    def __init__(self, row_phi: Callable[[tuple[int, ...]], tuple[UniPoly, ...]],
+                 arrays: Optional[RowArrays] = None):
         self.row_phi = row_phi
+        self.arrays = arrays
         super().__init__(lambda R: tuple(row_phi(row) for row in R))
 
 
@@ -264,7 +288,16 @@ def full_lookahead(q: PrenexQbf, field: Field,
     honest messages when none exists. A row not searched yet is searched
     with every row that shares all but its last few challenges, in one
     block of the lookahead search (``lookahead_block``), and the memo keeps
-    the whole block."""
+    the whole block.
+
+    The prover also has an array form (``RowProver.arrays``): the search on
+    every row at once (``lookahead_rows``), with the honest messages on the
+    rows it loses, and the one ``FieldTables`` the search built.
+    ``QuantumProtocol.run`` simulates one row from it. ``row_phi`` stays
+    for the dense oracle and the joint path, which ask one challenge
+    matrix at a time."""
+    import numpy as np
+
     schedule = schedule or build_schedule(q)
     oracle = TranscriptOracle(q, field, schedule)
     tables = FieldTables(q, field, schedule)
@@ -276,7 +309,20 @@ def full_lookahead(q: PrenexQbf, field: Field,
         out = memo[r_row]
         return out if out is not None else oracle.correct_row(r_row)
 
-    return RowProver(row_phi)
+    @functools.cache
+    def every_row() -> tuple[FieldTables, np.ndarray, np.ndarray]:
+        rows, won, msgs = lookahead_rows(q, field, schedule, tables)
+        for i in np.flatnonzero(~won).tolist():
+            for j, poly in enumerate(oracle.correct_row(tuple(rows[i].tolist()))):
+                msgs[i, j, :len(poly)] = poly
+        # every run of this prover reads the same cached arrays
+        rows.flags.writeable = msgs.flags.writeable = False
+        return tables, rows, msgs
+
+    def arrays(q_: PrenexQbf, field_: Field):
+        return every_row() if (q_, field_) == (q, field) else None
+
+    return RowProver(row_phi, arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +446,15 @@ class QuantumProtocol:
         rows = list(itertools.product(self.field.elements(), repeat=self.layout.n_rounds))
         return itertools.product(rows, repeat=self.copies)
 
+    def _check_branch_cap(self) -> None:
+        """Refuse a uniform prover whose |F|^(mN) branches are past
+        ``MAX_BRANCHES``."""
+        order, width = self.field.order, self.copies * self.layout.n_rounds
+        if _power_exceeds(order, width, MAX_BRANCHES):
+            raise ProtocolSizeError(
+                f"{order}^{width} branches exceed the sparse cutoff {MAX_BRANCHES}"
+            )
+
     def prepare_round1(self, spec: ProverSpec) -> SparseState:
         """The prover's round-1 state: branches |R> |F(R)>, with the private
         copy S = R implied rather than stored."""
@@ -417,13 +472,9 @@ class QuantumProtocol:
                 scale = denom * denom
             pairs = zip(support, coeffs)
         else:
-            order, width = self.field.order, self.copies * self.layout.n_rounds
-            if _power_exceeds(order, width, MAX_BRANCHES):
-                raise ProtocolSizeError(
-                    f"{order}^{width} branches exceed the sparse cutoff {MAX_BRANCHES}"
-                )
+            self._check_branch_cap()
             pairs = ((R, 1) for R in self.all_r_matrices())
-            scale = order ** width
+            scale = self.field.order ** (self.copies * self.layout.n_rounds)
         branches: dict[BasisState, int] = {}
         for R, coeff in pairs:
             branches[BasisState(R, self.padded_f_matrix(spec, R))] = coeff
@@ -513,8 +564,12 @@ class QuantumProtocol:
         first message depends on no challenge."""
         if not 1 <= i <= self.copies:
             raise ValueError("event indices out of range")
-        first = self._pad_poly(correct_polynomial(self.q, self.schedule, self.field, 1, ()))
+        first = self._honest_first()
         return self._conditional(state, lambda b: b.f[i - 1][0] != first)
+
+    def _honest_first(self) -> UniPoly:
+        """The honest round-1 message, padded: it depends on no challenge."""
+        return self._pad_poly(correct_polynomial(self.q, self.schedule, self.field, 1, ()))
 
     def hidden_support_count(
         self, state: SparseState, u: Sequence[int], ev: EventQuery | None = None
@@ -569,6 +624,63 @@ class QuantumProtocol:
             for _ in range(samples)
         ]
 
+    def _sparse_stages(self, spec: ProverSpec) -> tuple[Fraction, Optional[list[Fraction]],
+                                                        Callable[[tuple[int, ...]], Fraction]]:
+        """Prepare, step 1 and events on the sparse state of every simulated
+        row, and step 4 at a u: the step-1 pass, each row's resume-union
+        probability (None when nothing passes), and u -> a(u)."""
+        p, filtered = self.step1_filter(self.prepare_round1(spec))
+        events = None
+        if p > 0:
+            events = [self.resume_union_probability(filtered, i)
+                      for i in range(1, self.copies + 1)]
+        return p, events, functools.partial(self.step4_accept_prob, filtered)
+
+    def _row_array_stages(self, spec: ProverSpec):
+        """``_sparse_stages`` on one row for a row prover with an array form
+        for this formula and field, or None for any other prover. The stages
+        read the |F|^N rows as arrays: step 1 is ``verify_rows``, step 4 for
+        each u counts the kept rows per value of (r_1..r_(u-1), f_1..f_u),
+        every amplitude being 1, and the event compares the first message
+        column with the honest first message."""
+        if not isinstance(spec, RowProver) or spec.arrays is None:
+            return None
+        self._check_branch_cap()
+        forms = spec.arrays(self.q, self.field)
+        if forms is None:
+            return None
+        import numpy as np
+
+        tables, rows, msgs = forms
+        order, n_rounds, k = self.field.order, self.layout.n_rounds, self.field.k
+        if msgs.shape != (order ** n_rounds, n_rounds, self.layout.degree_bound + 1):
+            raise ValueError("message matrix shape mismatch")
+        ok = verify_rows(self.q, self.field, self.schedule, tables, rows, msgs)
+        kept = int(ok.sum())
+        scale = order ** n_rounds
+        p = Fraction(kept, scale)
+        r, f = rows[ok], msgs[ok]
+        events = None
+        if kept:
+            wrong = (f[:, 0] != np.array(self._honest_first())).any(axis=1)
+            events = [Fraction(int(wrong.sum()), kept)]
+        # Step 1 leaves every kept coefficient past its round's degree cap
+        # 0, so a message is its first dmax + 1 coefficients in base |F|,
+        # below |F|^(dmax + 1) (within the search cutoff). Each u refines
+        # u - 1's groups by r_(u-1) and f_u, renumbered densely, so every
+        # key stays below |F|^N |F| |F|^(dmax + 1).
+        width = max(self.schedule.degree_bounds) + 1
+        codes = f[:, :, :width].astype(np.int64) @ order ** np.arange(width, dtype=np.int64)
+        group = np.zeros(kept, dtype=np.int64)
+        accept = {}
+        for u in range(1, n_rounds + 1):
+            key = group if u == 1 else group * order + r[:, u - 2]
+            _, group, counts = np.unique(key * order ** width + codes[:, u - 1],
+                                         return_inverse=True, return_counts=True)
+            counts = counts.astype(np.int64)
+            accept[u,] = Fraction(int(counts @ counts), scale << ((n_rounds - u + 1) * k))
+        return p, events, accept.__getitem__
+
     def run(
         self,
         spec: ProverSpec,
@@ -579,8 +691,10 @@ class QuantumProtocol:
         """Exact run over every u in {1..N}^m or over sampled ones.
 
         A row prover (``RowProver``, ``HonestProver``, ``full_lookahead``)
-        is simulated on one row of |F|^N branches, at every m; any other
-        prover on all m rows, |F|^(mN) branches. ``MAX_BRANCHES`` caps the
+        is simulated on one row of |F|^N branches, at every m, on arrays
+        when it has an array form for this formula and field
+        (``full_lookahead``'s); any other prover on all m rows, |F|^(mN)
+        branches. ``MAX_BRANCHES`` caps the
         simulated branches and the u vectors (N^m in exhaustive mode, the
         sample count otherwise), which are drawn before any simulation. The
         m rows are blocks of the simulated width (1 or m), and the round-1
@@ -596,16 +710,14 @@ class QuantumProtocol:
         us = self._draw_us(u_mode, samples, seed)
         sim = QuantumProtocol(self.q, self.field, 1) if isinstance(spec, RowProver) else self
         width, blocks = sim.copies, self.copies // sim.copies
-        p, filtered = sim.step1_filter(sim.prepare_round1(spec))
-        events = None
-        if p > 0:
-            events = [sim.resume_union_probability(filtered, i)
-                      for i in range(1, width + 1)] * blocks
+        p, events, step4 = sim._row_array_stages(spec) or sim._sparse_stages(spec)
+        if events is not None:
+            events *= blocks
 
         @functools.cache
         def a(v: tuple[int, ...]) -> tuple[int, int]:
             """Simulated acceptance at block v, numerator and denominator."""
-            x = sim.step4_accept_prob(filtered, v)
+            x = step4(v)
             return x.numerator, x.denominator
 
         def accept(u: tuple[int, ...]) -> Fraction:

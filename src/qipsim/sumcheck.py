@@ -37,8 +37,9 @@ chain evaluates to the formula's truth value, so an honest run on a true
 formula never trips a check, and on a false formula the very first message
 already contradicts the claim.
 
-Only the optimal cheater and the full-lookahead search build numpy tables,
-so numpy is imported inside those functions: the verifier, the honest
+Only the optimal cheater, the full-lookahead search and the verifier on
+arrays that checks its messages (``verify_rows``) build numpy tables, so
+numpy is imported inside those functions: the scalar verifier, the honest
 prover and the sweep run without loading it.
 """
 
@@ -443,13 +444,13 @@ def _digit_rows(order: int, width: int, dtype=int) -> np.ndarray:
 
 
 class FieldTables:
-    """The tables both searches read: the field's product table ``mul`` and
-    inverse table ``inv`` (``inv[0]`` is 0), and for each kind code in the
-    schedule ``combine[kind][rho, f0, f1]``, the verifier's round rule
-    (``_kernels.purepy.combine_on``) on index arrays, with the multiply read
-    from the product table; and ``matrix``, the matrix value at each final
-    assignment the lookahead search has read, filled as it reads them.
-    Building raises ProtocolSizeError past the search cutoff."""
+    """The tables both searches and ``verify_rows`` read: the field's
+    product table ``mul`` and inverse table ``inv`` (``inv[0]`` is 0), and
+    for each kind code in the schedule ``combine[kind][rho, f0, f1]``, the
+    verifier's round rule (``_kernels.purepy.combine_on``) on index arrays,
+    with the multiply read from the product table; and ``matrix``, the
+    matrix value at each final assignment read so far, filled as they are
+    read. Building raises ProtocolSizeError past the search cutoff."""
 
     def __init__(self, q: PrenexQbf, field: Field, schedule: RoundSchedule):
         import numpy as np
@@ -675,13 +676,47 @@ def _distinct_rows(sets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sets[first], inverse.ravel()
 
 
+def _round_inputs(schedule: RoundSchedule, n: int, rows: np.ndarray
+                  ) -> tuple[list[tuple[int, int, np.ndarray, np.ndarray]], np.ndarray]:
+    """What the verifier reads each round on every challenge row at once:
+    per round (kind code, degree cap, rho, r_j), rho the round variable's
+    value before the round and r_j the challenge, one entry per row; and
+    each row's final assignment."""
+    import numpy as np
+
+    assign = np.zeros((len(rows), n), dtype=np.intp)
+    rounds = []
+    for j, (kind, t, bound) in enumerate(zip(schedule.kinds, schedule.tvars,
+                                             schedule.degree_bounds)):
+        rounds.append((kind, bound, assign[:, t].copy(), rows[:, j]))
+        assign[:, t] = rows[:, j]
+    return rounds, assign
+
+
+def _matrix_values(q: PrenexQbf, field: Field, schedule: RoundSchedule,
+                   tables: FieldTables, assign: np.ndarray) -> np.ndarray:
+    """The matrix value at each row's final assignment, read from
+    ``tables.matrix`` after evaluating each distinct assignment not in it
+    yet."""
+    import numpy as np
+
+    codes = assign @ field.order ** np.arange(q.n)
+    _, final, at_final = np.unique(codes, return_index=True, return_inverse=True)
+    finals = list(map(tuple, assign[final].tolist()))
+    for a in finals:
+        if a not in tables.matrix:
+            tables.matrix[a] = field.ops.eval_formula(schedule.prog, a, field.g, field.k)
+    return np.array([tables.matrix[a] for a in finals])[at_final.ravel()]
+
+
 def _lookahead_search(q: PrenexQbf, field: Field, schedule: RoundSchedule,
                       tables: FieldTables, prefix: Sequence[int], send: bool
-                      ) -> tuple[np.ndarray, np.ndarray, list[tuple[UniPoly, ...]]]:
+                      ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """The full-lookahead search on the block of challenge rows that start
     with ``prefix``: the rows in product order, whether each has a message
-    vector the verifier accepts, and with ``send`` that vector for each row
-    that has one, in order.
+    vector the verifier accepts, and with ``send`` those vectors, one array
+    per round of the won rows' messages in order, degree cap + 1 field
+    elements each (dtype ``tables.elems.dtype``).
 
     The verifier reads round j's message only through f(0), f(1) and
     f(r_j), and the first message in ``itertools.product`` order with given
@@ -703,19 +738,8 @@ def _lookahead_search(q: PrenexQbf, field: Field, schedule: RoundSchedule,
     rows = np.empty((order ** (n_rounds - len(prefix)), n_rounds), dtype=np.intp)
     rows[:, :len(prefix)] = prefix
     rows[:, len(prefix):] = _digit_rows(order, n_rounds - len(prefix))
-    assign = np.zeros((len(rows), q.n), dtype=np.intp)
-    rounds = []  # (kind code, degree cap, rho, r_j), rho and r_j per row
-    for j, (kind, t, bound) in enumerate(zip(schedule.kinds, schedule.tvars,
-                                             schedule.degree_bounds)):
-        rounds.append((kind, bound, assign[:, t].copy(), rows[:, j]))
-        assign[:, t] = rows[:, j]
-    codes = assign @ order ** np.arange(q.n)
-    _, final, at_final = np.unique(codes, return_index=True, return_inverse=True)
-    finals = list(map(tuple, assign[final].tolist()))
-    for a in finals:
-        if a not in tables.matrix:
-            tables.matrix[a] = field.ops.eval_formula(schedule.prog, a, field.g, field.k)
-    at = np.array([tables.matrix[a] for a in finals])[at_final.ravel()]
+    rounds, assign = _round_inputs(schedule, q.n, rows)
+    at = _matrix_values(q, field, schedule, tables, assign)
     # win_{N+1}, and each win set after it, as (its distinct sets, the row's
     # index into them); steps[j - 1] holds round j's reach for each
     # distinct (win_{j+1}, rho, r_j) and each row's index into those
@@ -760,14 +784,64 @@ def _lookahead_search(q: PrenexQbf, field: Field, schedule: RoundSchedule,
         codes = codes.reshape(len(live), order * order)
         pick = codes.argmin(axis=1)
         best = codes[each, pick]
-        msgs = np.zeros((len(live), bound + 1), dtype=np.intp)
+        msgs = np.zeros((len(live), bound + 1), dtype=elems.dtype)
         msgs[:, 0] = a
         msgs[:, bound] = best % order
         if bound > 1:
             msgs[:, bound - 1] = best // order
-        sent.append(msgs.tolist())
+        sent.append(msgs)
         v = pick % order
-    return rows, won, [tuple(map(tuple, msgs)) for msgs in zip(*sent)]
+    return rows, won, sent
+
+
+def lookahead_rows(q: PrenexQbf, field: Field, schedule: RoundSchedule,
+                   tables: FieldTables) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lookahead search on every challenge row, one block at a time:
+    the |F|^N rows in product order (``_digit_rows``), whether each has a
+    message vector the verifier accepts, and a rows x N x (d + 1) array of
+    those vectors, each message zero-padded to d + 1 coefficients and a
+    lost row all zeros. Rows and messages take the field's narrowest
+    unsigned dtype."""
+    import numpy as np
+
+    order, n_rounds = field.order, schedule.n_rounds
+    small = tables.elems.dtype
+    fixed = n_rounds - _free_width(order, n_rounds)
+    blocks = [_lookahead_search(q, field, schedule, tables, prefix, True)
+              for prefix in itertools.product(field.elements(), repeat=fixed)]
+    won = np.concatenate([won for _, won, _ in blocks])
+    msgs = np.zeros((len(won), n_rounds, schedule.degree_bound + 1), dtype=small)
+    for j, bound in enumerate(schedule.degree_bounds):
+        msgs[won, j, :bound + 1] = np.concatenate([sent[j] for _, _, sent in blocks])
+    return _digit_rows(order, n_rounds, small), won, msgs
+
+
+def verify_rows(q: PrenexQbf, field: Field, schedule: RoundSchedule, tables: FieldTables,
+                rows: np.ndarray, msgs: np.ndarray) -> np.ndarray:
+    """The verifier on arrays: for challenge rows ``rows`` (rows x N) and
+    message vectors ``msgs`` (rows x N x width, lowest coefficient first),
+    whether the verifier accepts each row's transcript, as
+    ``transcript_valid`` does. Round j rejects a message with a nonzero
+    coefficient past the round's degree cap or one outside the field, and
+    one whose f(0) = c_0 and f(1) = the XOR of its coefficients do not
+    combine to the claim (``FieldTables.combine``); the next claim is
+    f(r_j), by Horner on ``FieldTables.mul``. After round N the claim must
+    be the matrix value at the row's final assignment."""
+    import numpy as np
+
+    rounds, assign = _round_inputs(schedule, q.n, rows)
+    ok = np.ones(len(rows), dtype=bool)
+    v = np.ones(len(rows), dtype=np.intp)
+    for j, (kind, bound, rho, r) in enumerate(rounds):
+        f = msgs[:, j]
+        ok &= ~f[:, bound + 1:].any(axis=1) & (f < field.order).all(axis=1)
+        # a rejected row's message is read as zeros, so every index is in F
+        f = np.where(ok[:, None], f[:, :bound + 1], 0)
+        ok &= tables.combine[kind][rho, f[:, 0], np.bitwise_xor.reduce(f, axis=1)] == v
+        v = f[:, bound]
+        for c in range(bound - 1, -1, -1):
+            v = tables.mul[v, r] ^ f[:, c]
+    return ok & (v == _matrix_values(q, field, schedule, tables, assign))
 
 
 def accepting_row_messages(
@@ -788,7 +862,7 @@ def accepting_row_messages(
         tables = FieldTables(q, field, schedule)
     row = _check_row(field, schedule, r_row)
     _, won, sent = _lookahead_search(q, field, schedule, tables, row, True)
-    return sent[0] if won[0] else None
+    return tuple(tuple(msgs[0].tolist()) for msgs in sent) if won[0] else None
 
 
 def lookahead_block(
@@ -804,8 +878,8 @@ def lookahead_block(
     n_rounds = schedule.n_rounds
     prefix = _check_row(field, schedule, r_row)[: n_rounds - _free_width(field.order, n_rounds)]
     rows, won, sent = _lookahead_search(q, field, schedule, tables, prefix, True)
-    found = iter(sent)
-    return {tuple(row): next(found) if w else None
+    found = zip(*(msgs.tolist() for msgs in sent))
+    return {tuple(row): tuple(map(tuple, next(found))) if w else None
             for row, w in zip(rows.tolist(), won.tolist())}
 
 

@@ -85,6 +85,11 @@ def invocations() -> list[list[str]]:
         "--prover", "lookahead:full", "--dense-check")
     add("quantum", "run", "--formula", "A x1 : x1", "--k", "4", "--m", "3",
         "--prover", "lookahead:full")
+    # One-row lookahead runs over all 8^5 challenge rows at n = 2.
+    for text, m in (("A x1 A x2 : x1 & x2", "1"), ("A x1 A x2 : x1 & x2", "2"),
+                    ("A x1 E x2 : (x1 | ~x2) & (~x1 | x2)", "1")):
+        add("quantum", "run", "--formula", text, "--k", "3", "--m", m,
+            "--prover", "lookahead:full")
     # The integer dense vector of a uniform and of a one-matrix prover at 20 qubits.
     for prover in ("honest", "biased:single"):
         add("quantum", "run", "--formula", "A x1 : x1", "--k", "2", "--m", "1",
@@ -148,6 +153,8 @@ def invocations() -> list[list[str]]:
         "--u", "sample", "--samples", "65537")
     add("quantum", "run", "--formula", "A x1 A x2 : x1 & x2", "--k", "4", "--m", "1",
         "--dense-check")
+    add("quantum", "run", "--formula", "A x1 A x2 : x1 & x2", "--k", "4", "--m", "1",
+        "--prover", "lookahead:full")
     add("quantum", "run", "--formula", "A x1 : x1", "--k", "2", "--m", "0")
     add("bound", "--d", "3", "--N", "9", "--m", "1", "--k", "4000000")
     add("bound", "--d", "3", "--N", "9", "--xlen", "2000000")

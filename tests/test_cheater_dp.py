@@ -32,6 +32,12 @@ from qipsim.sumcheck import (
 ORACLE_WORK = 4096
 
 
+def vectors(sent) -> list:
+    """The search's per-round message arrays as one tuple of messages per
+    won row, the form ``accepting_row_messages`` returns."""
+    return [tuple(map(tuple, vec)) for vec in zip(*(msgs.tolist() for msgs in sent))]
+
+
 @st.composite
 def instances(draw, ks):
     """(q, field, schedule) for a random prenex formula with n <= 2."""
@@ -81,12 +87,19 @@ def test_row_search_matches_oracle(inst):
     block, won, sent = sumcheck._lookahead_search(q, field, schedule, tables, (), True)
     assert block.tolist() == [list(row) for row in rows]
     assert won.tolist() == [w is not None for w in want]
-    assert sent == [w for w in want if w is not None]
+    assert all(msgs.dtype == tables.elems.dtype for msgs in sent)
+    assert vectors(sent) == [w for w in want if w is not None]
     assert winnable_rows(q, field, schedule) == sum(won)
-    phi = full_lookahead(q, field, schedule).row_phi
+    spec = full_lookahead(q, field, schedule)
     honest = TranscriptOracle(q, field, schedule)
     for row, w in zip(rows, want):
-        assert phi(row) == (w if w is not None else honest.correct_row(row)), row
+        assert spec.row_phi(row) == (w if w is not None else honest.correct_row(row)), row
+    # the array form holds the same messages, zero-padded, lost rows included
+    _, arr_rows, msgs = spec.arrays(q, field)
+    assert arr_rows.tolist() == [list(row) for row in rows]
+    width = schedule.degree_bound + 1
+    for row, vec in zip(rows, msgs.tolist()):
+        assert vec == [list(p) + [0] * (width - len(p)) for p in spec.row_phi(row)], row
 
 
 @pytest.mark.parametrize("text", ["A x1 : x1", "E x1 A x2 : x1 & x2", "A x1 : x1 & x1 & x1"])
@@ -102,7 +115,7 @@ def test_row_search_with_linear_reduce_rounds(text):
     _, won, sent = sumcheck._lookahead_search(q, field, linear,
                                               FieldTables(q, field, linear), (), True)
     assert won.tolist() == [w is not None for w in want]
-    assert sent == [w for w in want if w is not None]
+    assert vectors(sent) == [w for w in want if w is not None]
 
 
 @pytest.mark.parametrize("text, k", [

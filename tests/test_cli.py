@@ -11,6 +11,7 @@ import pytest
 import golden_cli
 import qipsim
 from qipsim.cli import main
+from qipsim import quantum
 from qipsim.quantum import QuantumProtocol
 
 
@@ -151,16 +152,20 @@ def test_quantum_run_sample_mode_deterministic(capsys):
 
 
 def test_quantum_run_sample_count_capped(capsys, monkeypatch):
-    def no_round1(self, spec):
+    def no_round1(*args):
         raise AssertionError("round 1 ran past the sample cap")
 
+    # the dict stages, the array stages and the search behind the arrays
     monkeypatch.setattr(QuantumProtocol, "prepare_round1", no_round1)
-    code, out, err = run_cli(
-        capsys, "quantum", "run", "--formula", "E x1 : x1", "--k", "1", "--m", "1",
-        "--u", "sample", "--samples", "65537",
-    )
-    assert code == 2 and out == ""
-    assert err == "qipsim: error: 65537 sampled u vectors exceed the sparse cutoff 65536\n"
+    monkeypatch.setattr(QuantumProtocol, "_row_array_stages", no_round1)
+    monkeypatch.setattr(quantum, "lookahead_rows", no_round1)
+    for prover in ("honest", "lookahead:full"):
+        code, out, err = run_cli(
+            capsys, "quantum", "run", "--formula", "E x1 : x1", "--k", "1", "--m", "1",
+            "--prover", prover, "--u", "sample", "--samples", "65537",
+        )
+        assert code == 2 and out == ""
+        assert err == "qipsim: error: 65537 sampled u vectors exceed the sparse cutoff 65536\n"
 
 
 def test_quantum_run_rows_past_joint_cap(capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from strategies import formulas
@@ -25,7 +25,7 @@ from qipsim.quantum import (
     full_lookahead,
     run_quantum,
 )
-from qipsim.sumcheck import ProtocolSizeError
+from qipsim.sumcheck import ProtocolSizeError, build_schedule, transcript_valid, verify_rows
 
 
 def test_layout_partition_example():
@@ -244,20 +244,26 @@ def test_run_sample_mode():
 
 
 def test_run_refuses_bad_u_options_before_round1(monkeypatch):
-    def no_round1(self, spec):
+    def no_round1(*args):
         raise AssertionError("round 1 ran before the u options were checked")
 
+    # the dict stages, the array stages and the search behind the arrays
     monkeypatch.setattr(QuantumProtocol, "prepare_round1", no_round1)
-    for m in (1, 2):  # the joint engine and the row path
-        proto = QuantumProtocol(parse_qbf("E x1 : x1"), Field(2), m)
-        with pytest.raises(ValueError):
-            proto.run(HonestProver(), u_mode="diagonal")
-        with pytest.raises(ValueError):
-            proto.run(HonestProver(), u_mode="sample", samples=0)
-        # the report lists every sampled u, so the count shares the u cap
-        with pytest.raises(ProtocolSizeError,
-                           match=r"^65537 sampled u vectors exceed the sparse cutoff 65536$"):
-            proto.run(HonestProver(), u_mode="sample", samples=quantum.MAX_BRANCHES + 1)
+    monkeypatch.setattr(QuantumProtocol, "_row_array_stages", no_round1)
+    monkeypatch.setattr(quantum, "lookahead_rows", no_round1)
+    q, f = parse_qbf("E x1 : x1"), Field(2)
+    for m in (1, 2):
+        proto = QuantumProtocol(q, f, m)
+        for spec in (HonestProver(), full_lookahead(q, f),
+                     LookaheadProver(lambda R: R)):  # row path twice, joint path
+            with pytest.raises(ValueError):
+                proto.run(spec, u_mode="diagonal")
+            with pytest.raises(ValueError):
+                proto.run(spec, u_mode="sample", samples=0)
+            # the report lists every sampled u, so the count shares the u cap
+            with pytest.raises(ProtocolSizeError,
+                               match=r"^65537 sampled u vectors exceed the sparse cutoff 65536$"):
+                proto.run(spec, u_mode="sample", samples=quantum.MAX_BRANCHES + 1)
 
 
 def test_negative_seed_refused():
@@ -286,9 +292,13 @@ def test_honest_messages_memoized_by_prefix(monkeypatch):
 JOINT_WORK = 30_000
 
 
-@settings(max_examples=25)
-@given(formulas(), st.sampled_from((1, 2)), st.sampled_from((1, 2, 3)),
+@settings(max_examples=30)
+@given(formulas(), st.sampled_from((1, 2, 3)), st.sampled_from((1, 2, 3)),
        st.sampled_from(("honest", "lookahead")), st.integers(0, 1 << 32))
+# n = 1 at k = 3: the 64-row array engine against 64 and 4096 joint branches
+@example(parse_qbf("A x1 : x1 & x1 & x1"), 3, 1, "lookahead", 5)
+@example(parse_qbf("E x1 : x1 | ~x1"), 3, 2, "lookahead", 7)
+@example(parse_qbf("A x1 : ~x1"), 3, 2, "lookahead", 11)
 def test_row_path_matches_joint_engine(q, k, m, kind, seed):
     f = Field(k)
     proto = QuantumProtocol(q, f, m)
@@ -298,12 +308,61 @@ def test_row_path_matches_joint_engine(q, k, m, kind, seed):
     event(f"n={q.n} k={k} m={m}")
     spec = HonestProver() if kind == "honest" else full_lookahead(q, f)
     assert isinstance(spec, RowProver)
-    # the same messages behind a whole-matrix prover take the joint path
+    # the lookahead prover runs the array stages; the same messages behind a
+    # whole-matrix prover take the joint path and its dict stages
     joint = LookaheadProver(lambda R: spec.f_matrix(R, proto.oracle))
     for mode in ({}, {"u_mode": "sample", "samples": 6, "seed": seed}):
         row, ref = proto.run(spec, **mode), proto.run(joint, **mode)
         assert row.to_dict() == ref.to_dict()
         assert (row.u_mode, row.seed) == (ref.u_mode, ref.seed)
+
+
+# The corruptions the array verifier must judge as the scalar one does.
+CORRUPTIONS = ("past the degree cap", "outside the field", "f(0) changed",
+               "last round's value at r_N changed")
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+@settings(max_examples=25, deadline=None)
+@given(formulas(), st.data())
+def test_array_step1_matches_scalar_verifier(k, q, data):
+    # the lookahead prover's real messages, with random entries corrupted:
+    # the array verifier's mask equals transcript_valid row by row
+    f = Field(k)
+    schedule = build_schedule(q)
+    n_rounds, width = schedule.n_rounds, schedule.degree_bound + 1
+    event(f"n={q.n}")
+    spec = full_lookahead(q, f, schedule)
+    tables, rows, msgs = spec.arrays(q, f)
+    msgs = msgs.copy()
+    hit = set()
+    for _ in range(data.draw(st.integers(1, 12))):
+        i = data.draw(st.integers(0, len(rows) - 1))
+        how = data.draw(st.sampled_from(CORRUPTIONS))
+        event(how)
+        j = data.draw(st.integers(0, n_rounds - 1))
+        bound = schedule.degree_bounds[j]
+        delta = data.draw(st.integers(1, f.order - 1))
+        if how == CORRUPTIONS[0] and bound + 1 < width:
+            msgs[i, j, data.draw(st.integers(bound + 1, width - 1))] = delta
+        elif how == CORRUPTIONS[1]:
+            msgs[i, j, data.draw(st.integers(0, width - 1))] = data.draw(st.integers(f.order, 255))
+        elif how == CORRUPTIONS[2]:
+            msgs[i, j, 0] ^= delta
+        else:
+            # the last round's cap is at least 2: c_1 and c_2 both change by
+            # delta, so f(0) and f(1) hold and only the final check can fail
+            msgs[i, n_rounds - 1, 1:3] ^= delta
+        hit.add(i)
+    mask = verify_rows(q, f, schedule, tables, rows, msgs)
+    # every row up to 4096 rows, past that the corrupted rows and a sample
+    check = range(len(rows)) if len(rows) <= 4096 else sorted(hit | set(range(0, len(rows), 61)))
+    for i in check:
+        vec = [tuple(p) for p in msgs[i].tolist()]
+        assert mask[i] == transcript_valid(q, schedule, f, rows[i].tolist(), vec), (i, vec)
+    # and the run's step 1 is that mask
+    bad = RowProver(spec.row_phi, lambda q_, f_: (tables, rows, msgs))
+    assert QuantumProtocol(q, f, 1).run(bad).step1_pass == Fraction(int(mask.sum()), len(rows))
 
 
 def test_row_path_reach_frozen():
@@ -472,6 +531,20 @@ def test_step4_on_filtered_state_matches_dense(q, k, kind):
     for u in proto.all_u():
         sparse = proto.step4_accept_prob(kept, u)
         assert dense_oracle(q, k, 1, spec, u) == float(sparse)
+
+
+@settings(max_examples=20)
+@given(formulas(max_n=1), st.sampled_from((1, 2)))
+def test_array_engine_matches_dense(q, k):
+    # the one-row array stages against the dense state vector, exactly: a
+    # uniform prover's dense value is the float of the exact rational
+    f = Field(k)
+    proto = QuantumProtocol(q, f, 1)
+    assume(proto.layout.total_qubits <= DENSE_QUBITS)
+    event(f"k={k} d={proto.schedule.degree_bound}")
+    spec = full_lookahead(q, f)
+    for u, accept in proto.run(spec).per_u:
+        assert dense_oracle(q, k, 1, spec, u) == float(accept)
 
 
 @settings(max_examples=40)
