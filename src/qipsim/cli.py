@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -332,7 +333,10 @@ def _emit(doc: dict, args, command: str) -> None:
 # wiring
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI's parser, built once per process: parsing keeps no state
+    between calls, so every ``main`` call reuses it."""
     parser = _Parser(prog="qipsim", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version",
                         version=f"qipsim {__version__}")

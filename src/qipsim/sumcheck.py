@@ -433,6 +433,11 @@ def honest_always_accepts(
 # Entries in one block of the cheater DP (assignments x candidates) and of
 # the lookahead search (challenge rows x pairs of field elements).
 _SCORE_BLOCK = 1 << 20
+# Entries in one chunk of the cheater's claim selection (assignments x rhos x
+# pairs). It keeps five arrays of that size at once, so it takes fewer
+# entries than a score block: at n=2, k=5 a whole block's rhos at once would
+# raise the peak from 76 to 91 MiB.
+_SELECT_BLOCK = 1 << 16
 
 
 def _digit_rows(order: int, width: int, dtype=int) -> np.ndarray:
@@ -474,49 +479,33 @@ class FieldTables:
         self.matrix: dict[tuple[int, ...], int] = {}
 
 
-class SearchTables:
-    """Every candidate message of one instance, evaluated once, built with
-    array operations: the optimal cheater scores them all.
+def _candidate_values(tables: FieldTables, bound: int) -> np.ndarray:
+    """values[r, c]: the c-th coefficient tuple of length ``bound`` + 1 in
+    ``itertools.product`` order, as a polynomial, at field element r; a row
+    per r, so that scoring reads each row whole. From the empty tuple, each
+    pass puts a coefficient c in front of every tuple p so far:
+    c + z * p(z)."""
+    import numpy as np
 
-    For each degree cap D in the schedule, row c of ``coeffs[D]`` is the c-th
-    coefficient tuple of length D + 1 in ``itertools.product`` order, and
-    ``evals[D][c, r]`` is that polynomial at field element r, built one
-    coefficient at a time as c_0 + z * (the rest at z). For each round's
-    (kind code, D), ``keys[kind, D][rho, c]`` is the combine value
-    (``FieldTables.combine``) of candidate c's f(0) and f(1) when the round
-    variable holds rho, and ``groups[kind, D][rho][v]`` lists, in product
-    order, the candidates whose combine value is v: slices of one stable
-    argsort of the keys, cut at their counts. Building raises
-    ProtocolSizeError past the search cutoff.
-    """
+    elems, mul = tables.elems, tables.mul
+    values = np.zeros((len(elems), 1), dtype=elems.dtype)
+    for _ in range(bound + 1):
+        values = (elems[:, None] ^ mul[values, elems[:, None]][:, None]).reshape(len(elems), -1)
+    return values
 
-    def __init__(self, q: PrenexQbf, field: Field, schedule: RoundSchedule):
-        import numpy as np
 
-        order = field.order
-        tables = FieldTables(q, field, schedule)
-        elems, mul = tables.elems, tables.mul
-        self.coeffs: dict[int, np.ndarray] = {}
-        self.evals: dict[int, np.ndarray] = {}
-        self.keys: dict[tuple[int, int], np.ndarray] = {}
-        self.groups: dict[tuple[int, int], list[list[np.ndarray]]] = {}
-        for kind, bound in zip(schedule.kinds, schedule.degree_bounds):
-            if bound not in self.coeffs:
-                # from the empty tuple, each pass puts a coefficient c in
-                # front of every tuple p so far: c + z * p(z)
-                evals = np.zeros((1, order), dtype=elems.dtype)
-                for _ in range(bound + 1):
-                    evals = (elems[:, None, None] ^ mul[evals, elems]).reshape(-1, order)
-                self.coeffs[bound] = _digit_rows(order, bound + 1, elems.dtype)
-                self.evals[bound] = evals
-            if (kind, bound) not in self.keys:
-                evals = self.evals[bound]
-                keys = tables.combine[kind][:, evals[:, 0], evals[:, 1]]
-                self.keys[kind, bound] = keys
-                self.groups[kind, bound] = groups = []
-                for row, members in zip(keys, np.argsort(keys, axis=1, kind="stable")):
-                    ends = np.bincount(row, minlength=order).cumsum().tolist()
-                    groups.append([members[lo:hi] for lo, hi in zip([0, *ends], ends)])
+def _pair_index(order: int, bound: int) -> np.ndarray:
+    """idx[x, p]: among the candidates of degree at most D = ``bound`` that
+    share c_0, the product-order offset of the one whose prefix
+    (c_1 ... c_(D-1)) is the p-th in product order and whose tail sum
+    c_1 + ... + c_D is x, so c_D = x + c_1 + ... + c_(D-1). Its f(0) is c_0
+    and its f(1) is c_0 + x, and the offsets grow with p: row x lists the
+    candidates with f(0), f(1) = c_0, c_0 + x in product order."""
+    import numpy as np
+
+    prefixes = _digit_rows(order, bound - 1)
+    sums = np.bitwise_xor.reduce(prefixes, axis=1)
+    return np.arange(len(prefixes)) * order + (np.arange(order)[:, None] ^ sums)
 
 
 class TabulatedPolicy:
@@ -551,20 +540,31 @@ def optimal_cheater(
     Bottom-up DP over rounds j = N..1. V_j[a, v] is the best acceptance
     count from round j with assignment a and running claim v, scaled to an
     integer by |F|^(N-j+1); V_{N+1}[a, v] is 1 when v is the matrix value at
-    a. Every coefficient tuple c within the round's degree cap is scored at
-    once as score[c] = sum_r V_{j+1}[a with x_t = r, c(r)], and V_j[a, v] is
-    the best score among the candidates whose combine value of f(0) and f(1)
-    is v.
-    Ties go to the first tuple in ``itertools.product`` order. Every
-    assignment reachable at round j (variables not yet bound are 0) is solved
-    for every claim, so ``policy.choice`` covers all of those states. Counts
-    are int64 when k*N <= 62 and Python ints otherwise."""
+    a. Every coefficient tuple c within the round's degree cap D is scored
+    at once as score[c] = sum_r V_{j+1}[a with x_t = r, c(r)], in blocks of
+    assignments.
+
+    The round rule reads only f(0) = c_0 and f(1) = c_0 + x, where x is the
+    tail sum c_1 + ... + c_D. So the candidates fall into |F|^2 pair groups
+    (c_0, x), each listed in product order by ``_pair_index``, and the
+    first maximum of each group is its best candidate. V_j[a, v] is then the
+    best of the pairs whose combine value (``FieldTables.combine``) is v
+    under the round variable's value rho: one segmented maximum over the
+    pairs sorted by claim, for a chunk of rhos at a time. Ties go to the
+    first tuple in ``itertools.product`` order. Every assignment reachable
+    at round j (variables not yet bound are 0) is solved for every claim, so
+    ``policy.choice`` covers all of those states. Counts are int64 when
+    k*N <= 62 and Python ints otherwise.
+
+    The candidate values take |F|^(D+2) bytes. Past the search cutoff, k=7
+    is the top for D=2: at k=8 they alone would take 4 GiB."""
     import numpy as np
 
     schedule = schedule or build_schedule(q)
-    tables = SearchTables(q, field, schedule)
+    tables = FieldTables(q, field, schedule)
     order, n, n_rounds = field.order, q.n, schedule.n_rounds
     zs = np.arange(order)
+    pairs = order * order
     weight = order ** np.arange(n - 1, -1, -1, dtype=np.int64)  # code = a @ weight
     dtype = np.int64 if field.k * n_rounds <= 62 else object
     # round N+1: every variable is bound, only the final matrix check is left
@@ -573,35 +573,64 @@ def optimal_cheater(
               for a in finals.tolist()]
     counts = np.zeros((order ** n, order), dtype=dtype)  # V_j[code(a), v]
     counts[finals @ weight, matrix] = 1
+    by_bound: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     choice: dict[tuple, UniPoly] = {}
     for j in range(n_rounds, 0, -1):
         kind, t = schedule.kinds[j - 1], schedule.tvars[j - 1]
         bound = schedule.degree_bounds[j - 1]
-        coeffs, evals = tables.coeffs[bound], tables.evals[bound]
+        if bound not in by_bound:
+            by_bound[bound] = _candidate_values(tables, bound), _pair_index(order, bound)
+        evals, idx = by_bound[bound]
+        size = order ** bound  # candidates per c_0
+        places = order ** np.arange(bound, -1, -1)
         bound_vars = set(schedule.tvars[: j - 1])
-        rhos = range(order) if t in bound_vars else (0,)
+        rhos = zs if t in bound_vars else zs[:1]
+        # claims[i, a |F| + x]: the claim that f(0), f(1) = a, a + x meet
+        # under rhos[i]. Every rule reaches every claim (forall at 1, v;
+        # exists at v, 0; reduce at v, v), so sorted by claim a row falls
+        # into |F| nonempty runs: ``by_claim`` sorts it, ``sizes`` and
+        # ``starts`` cut it.
+        claims = tables.combine[kind][rhos[:, None, None], zs[:, None], zs[:, None] ^ zs]
+        claims = claims.reshape(len(rhos), pairs)
+        by_claim = np.argsort(claims, axis=1, kind="stable")
+        sizes = np.bincount((claims + zs[:len(rhos), None] * order).ravel(),
+                            minlength=len(rhos) * order).reshape(len(rhos), order)
+        starts = sizes.cumsum(axis=1) - sizes
         free = sorted(bound_vars - {t})
         bases = np.zeros((order ** len(free), n), dtype=np.int64)
         bases[:, free] = _digit_rows(order, len(free))
         below, counts = counts, np.zeros_like(counts)
-        step = max(1, _SCORE_BLOCK // len(coeffs))
+        step = max(1, _SCORE_BLOCK // (order * size))
         for lo in range(0, len(bases), step):
             block = bases[lo: lo + step]
-            rows = np.arange(len(block))
+            codes = block @ weight
             # kids[b, r, e] = V_{j+1}[block[b] with x_t = r, e]
-            kids = below[(block @ weight)[:, None] + zs * weight[t]]
-            score = sum(kids[:, r, evals[:, r]] for r in range(order))
-            for rho in rhos:
-                states = block.copy()
-                states[:, t] = rho
-                codes = states @ weight
-                assigns = list(map(tuple, states.tolist()))
-                for v, members in enumerate(tables.groups[kind, bound][rho]):
-                    sub = score[:, members]
-                    best = sub.argmax(axis=1)  # first maximum: product order
-                    counts[codes, v] = sub[rows, best]
-                    for a, c in zip(assigns, coeffs[members[best]].tolist()):
-                        choice[j, a, v] = tuple(c)
+            kids = below[codes[:, None] + zs * weight[t]]
+            score = sum(kids[:, r, evals[r]] for r in range(order))
+            # grouped[b, a, x, p]: the p-th candidate with f(0), f(1) = a, a + x
+            grouped = score.reshape(len(block), order, size)[:, :, idx]
+            first = grouped.argmax(axis=3)  # first maximum: product order
+            best = grouped.max(axis=3).reshape(len(block), -1)
+            picks = (zs[:, None] * size + idx[zs, first]).reshape(len(block), -1)
+            chunk = max(1, _SELECT_BLOCK // (len(block) * pairs))
+            for i in range(0, len(rhos), chunk):
+                some = rhos[i: i + chunk]
+                # the pairs of each rho in ``some``, sorted by claim, side by side
+                cols = by_claim[i: i + chunk].ravel()
+                cuts = (starts[i: i + chunk] + np.arange(len(some))[:, None] * pairs).ravel()
+                got = best[:, cols]
+                top = np.maximum.reduceat(got, cuts, axis=1)
+                # among the pairs at the top, the least product index
+                tied = got == np.repeat(top, sizes[i: i + chunk].ravel(), axis=1)
+                pick = np.minimum.reduceat(np.where(tied, picks[:, cols], order * size),
+                                           cuts, axis=1)
+                counts[codes[:, None] + some * weight[t]] = top.reshape(len(block), -1, order)
+                states = np.repeat(block[:, None], len(some), axis=1)
+                states[:, :, t] = some
+                polys = (pick[..., None] // places % order).reshape(-1, bound + 1)
+                keys = [(j, a, v) for a in map(tuple, states.reshape(-1, n).tolist())
+                        for v in range(order)]
+                choice.update(zip(keys, map(tuple, polys.tolist())))
     p = Fraction(int(counts[0, 1]), order ** n_rounds)
     return TabulatedPolicy(q, field, schedule, choice, p), p
 

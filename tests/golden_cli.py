@@ -142,6 +142,13 @@ def invocations() -> list[list[str]]:
     # The lookahead search on all 2^20 rows of an n = 2, k = 4 scan.
     add("classical", "exhaustive", "--formula", "A x1 A x2 : x1 & x2", "--k", "4",
         "--prover", "lookahead:full")
+    # The optimal cheater at the edge of the search cutoff, and a seeded replay
+    # of its n = 2 policy, which pins the tie-breaking along the replayed paths.
+    for text, k in (("A x1 A x2 : x1 & x2", "4"), ("A x1 : x1 & x1 & x1", "4"),
+                    ("A x1 : x1", "5")):
+        add("classical", "exhaustive", "--formula", text, "--k", k, "--prover", "optimal")
+    add("classical", "run", "--formula", "A x1 A x2 : x1 & x2", "--k", "4",
+        "--prover", "optimal", "--trials", "200", "--seed", "3")
     # 2^23 formula evaluations behind round 1's message: refused.
     add("classical", "run", "--formula", _chain("A", 24, "x1 | ~x1"), "--k", "8")
 

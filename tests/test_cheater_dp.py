@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from cheater_oracle import combine, oracle_cheater, oracle_row_messages
+from cheater_oracle import combine, grouped_cheater, oracle_cheater, oracle_row_messages
 from strategies import formulas
 from qipsim import sumcheck
 from qipsim.gf2k import Field
@@ -18,7 +18,6 @@ from qipsim.qbf import parse_qbf
 from qipsim.quantum import full_lookahead
 from qipsim.sumcheck import (
     FieldTables,
-    SearchTables,
     TranscriptOracle,
     accepting_row_messages,
     build_schedule,
@@ -28,8 +27,10 @@ from qipsim.sumcheck import (
 )
 
 # The oracles cost about order^(n + dmax + 1) candidate scorings; 4096 keeps
-# one example near a tenth of a second.
+# one example near a tenth of a second. The grouped DP scores them with
+# array operations, and at 2^20 one example takes about 0.2 s.
 ORACLE_WORK = 4096
+GROUPED_WORK = 1 << 20
 
 
 def vectors(sent) -> list:
@@ -39,12 +40,12 @@ def vectors(sent) -> list:
 
 
 @st.composite
-def instances(draw, ks):
+def instances(draw, ks, work=ORACLE_WORK):
     """(q, field, schedule) for a random prenex formula with n <= 2."""
     q = draw(formulas())
     field = Field(draw(st.sampled_from(ks)))
     schedule = build_schedule(q)
-    assume(field.order ** (q.n + max(schedule.degree_bounds) + 1) <= ORACLE_WORK)
+    assume(field.order ** (q.n + max(schedule.degree_bounds) + 1) <= work)
     event(f"n={q.n} k={field.k}")
     return q, field, schedule
 
@@ -59,6 +60,19 @@ def test_dp_matches_oracle(inst):
     for state, coeffs in want_choice.items():
         assert policy.choice[state] == coeffs, state
     assert all(type(c) is int for poly in policy.choice.values() for c in poly)
+
+
+@settings(max_examples=30, deadline=None)
+@given(instances(ks=(4, 3, 2, 1), work=GROUPED_WORK))
+def test_dp_matches_grouped_oracle(inst):
+    # every candidate scored, and each claim's best taken over its own
+    # candidates: the same value and message in every state up to k = 4;
+    # the larger fields come first, since Hypothesis leans to the first
+    q, field, schedule = inst
+    policy, value = optimal_cheater(q, field, schedule)
+    want, want_choice = grouped_cheater(q, field, schedule)
+    assert value == want
+    assert policy.choice == want_choice
 
 
 @settings(max_examples=25)
@@ -185,32 +199,33 @@ def test_first_messages_match_enumeration(k):
                 assert reach[rr, aa, bb] == want, (bound, win.tolist(), rr, aa, bb)
 
 
-def test_combine_keys_match_brute_force():
-    # every table of the cheater, from candidates to combine keys; the
-    # quantifier rules ignore rho, and every rho slice must still be the rule
-    for text in ("E x1 A x2 : x1 & x2", "A x1 : x1 & x1 & x1"):
-        q = parse_qbf(text)
-        schedule = build_schedule(q)
-        for k in (1, 2, 3):
-            field = Field(k)
-            tables = SearchTables(q, field, schedule)
-            order = field.order
-            for bound, coeffs in tables.coeffs.items():
-                assert coeffs.tolist() == [
-                    list(c) for c in itertools.product(range(order), repeat=bound + 1)]
-                evals = tables.evals[bound].tolist()
-                for c, poly in enumerate(coeffs.tolist()):
-                    assert evals[c] == [field.poly_eval(poly, r) for r in range(order)]
-            assert {kind for kind, _ in tables.keys} == set(schedule.kinds)
-            for (kind, bound), keys in tables.keys.items():
-                f01 = tables.evals[bound][:, :2].tolist()
-                want = [[combine(kind, rho, f0, f1, field) for f0, f1 in f01]
-                        for rho in field.elements()]
-                assert keys.tolist() == want, (text, k, kind, bound)
-                for rho, groups in enumerate(tables.groups[kind, bound]):
-                    for v, members in enumerate(groups):
-                        assert members.tolist() == [
-                            c for c, key in enumerate(want[rho]) if key == v]
+def test_pair_groups_match_brute_force():
+    # the cheater's tables against every candidate: each tuple's values, the
+    # round rules for every rho (the quantifier rules ignore rho, and every
+    # rho slice must still be the rule), and each (f(0), f(1)) pair group,
+    # which must hold exactly its candidates, in product order
+    q = parse_qbf("E x1 A x2 : x1 & x2")
+    schedule = build_schedule(q)
+    for k in (1, 2, 3):
+        field = Field(k)
+        order = field.order
+        tables = FieldTables(q, field, schedule)
+        assert set(tables.combine) == set(schedule.kinds)
+        for kind, rule in tables.combine.items():
+            assert rule.tolist() == [[[combine(kind, rho, f0, f1, field) for f1 in range(order)]
+                                      for f0 in range(order)] for rho in range(order)]
+        for bound in (1, 2, 3):
+            cands = list(itertools.product(range(order), repeat=bound + 1))
+            values = sumcheck._candidate_values(tables, bound)
+            assert values.T.tolist() == [
+                [field.poly_eval(c, r) for r in range(order)] for c in cands]
+            groups = {}
+            for c, poly in enumerate(cands):
+                groups.setdefault((poly[0], field.poly_eval(poly, 1)), []).append(c)
+            idx = sumcheck._pair_index(order, bound)
+            assert idx.shape == (order, order ** (bound - 1))
+            for a, x in itertools.product(range(order), repeat=2):
+                assert (a * order ** bound + idx[x]).tolist() == groups[a, a ^ x], (k, bound, a, x)
 
 
 @pytest.mark.parametrize("text, k", [
@@ -229,6 +244,22 @@ def test_blocked_scores_match_one_block(monkeypatch, text, k):
     blocked, blocked_value = optimal_cheater(q, field)
     assert blocked_value == value
     assert blocked.choice == policy.choice
+
+
+@pytest.mark.parametrize("text, k", [
+    ("A x1 A x2 : x1 & x2", 3),
+    ("A x1 : x1 & x1 & x1", 3),
+])
+def test_selection_chunks_match_grouped_oracle(monkeypatch, text, k):
+    # 192 entries hold three rhos of one assignment's 64 pairs at k = 3, so
+    # an n = 1 reduce round runs its eight rhos in chunks of 3, 3 and 2, and
+    # an n = 2 round, eight assignments to a block, one rho at a time
+    q, field = parse_qbf(text), Field(k)
+    want, want_choice = grouped_cheater(q, field)
+    monkeypatch.setattr(sumcheck, "_SELECT_BLOCK", 192)
+    policy, value = optimal_cheater(q, field)
+    assert value == want
+    assert policy.choice == want_choice
 
 
 def test_cubic_k4_frozen_and_realized():

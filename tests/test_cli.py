@@ -10,7 +10,7 @@ import pytest
 
 import golden_cli
 import qipsim
-from qipsim.cli import main
+from qipsim.cli import build_parser, main
 from qipsim import quantum
 from qipsim.quantum import QuantumProtocol
 
@@ -499,6 +499,17 @@ def test_numpy_imported_on_first_use(argv):
     (rec,) = _fresh_records([list(argv)], block=False)
     assert rec.pop("numpy_before") is False
     assert rec == _golden(argv)
+
+
+def test_parser_reused_after_refusal():
+    """``main`` builds its parser once per process; an argv it refuses
+    leaves nothing behind that changes what the next run prints."""
+    assert build_parser() is build_parser()
+    refused = ("classical", "run", "--formula", "A x1 : x1", "--k", "2", "--trials", "0")
+    valid = ("classical", "run", "--formula", _XNOR2, "--k", "4", "--trials", "100")
+    assert _golden(refused)["exit"] == 2
+    for argv in (refused, valid, refused, valid):
+        assert golden_cli.record(list(argv)) == _golden(argv), argv
 
 
 def test_golden_cli_corpus():
