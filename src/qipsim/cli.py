@@ -41,10 +41,11 @@ from .quantum import (
 from .sumcheck import (
     ProtocolSizeError,
     build_schedule,
+    draw_challenges,
     honest_always_accepts,
     honest_policy,
     optimal_cheater,
-    run_protocol,
+    run_with_randomness,
     sweep_size,
     winnable_rows,
 )
@@ -117,6 +118,14 @@ def _add_output_args(p: argparse.ArgumentParser):
 
 
 def cmd_classical_run(args) -> dict:
+    """Seeded trials, trial t on seed ``seed * TRIAL_SEED_STRIDE + t``.
+    When |F|^N <= ``--trials``, so that strings must repeat, each distinct
+    challenge string is verified once and its transcript serves every
+    later trial that draws it; the memo then holds at most |F|^N entries.
+    A transcript is a function of its string alone, since both provers
+    answer from the round, the challenges and the messages so far (the
+    honest prover's memo changes no message), so the report is the one
+    verifying every trial gives."""
     q = _load_formula(args)
     field = Field(args.k)
     schedule = build_schedule(q)
@@ -127,9 +136,16 @@ def cmd_classical_run(args) -> dict:
         policy, optimal_value = optimal_cheater(q, field, schedule)
     per_trial = []
     accepted = 0
+    memo = field.order ** schedule.n_rounds <= args.trials
+    seen = {}
     for t in range(args.trials):
         trial_seed = args.seed * TRIAL_SEED_STRIDE + t
-        tr = run_protocol(q, field, policy, rng=trial_seed, schedule=schedule)
+        r_seq = tuple(draw_challenges(field, schedule.n_rounds, trial_seed))
+        tr = seen.get(r_seq)
+        if tr is None:
+            tr = run_with_randomness(q, field, policy, r_seq, schedule)
+            if memo:
+                seen[r_seq] = tr
         accepted += tr.accepted
         per_trial.append(
             {

@@ -387,16 +387,22 @@ def run_protocol(
     rng: random.Random | int = 0,
     schedule: RoundSchedule | None = None,
 ) -> Transcript:
-    """One seeded run; each challenge is one k-bit draw from the PRNG. An
-    int seed must be non-negative, since ``random.Random(-s)`` draws what
-    ``random.Random(s)`` draws."""
+    """One seeded run on the challenges ``draw_challenges`` gives."""
     schedule = schedule or build_schedule(q)
+    r_seq = draw_challenges(field, schedule.n_rounds, rng)
+    return run_with_randomness(q, field, policy, r_seq, schedule)
+
+
+def draw_challenges(field: Field, n_rounds: int, rng: random.Random | int) -> list[int]:
+    """The challenge string of one seeded run: ``n_rounds`` k-bit draws from
+    the PRNG, or from ``random.Random(rng)`` for an int. An int seed must be
+    non-negative, since ``random.Random(-s)`` draws what ``random.Random(s)``
+    draws."""
     if isinstance(rng, int):
         if rng < 0:
             raise ValueError(f"seed must be non-negative, not {rng}")
         rng = random.Random(rng)
-    r_seq = [rng.getrandbits(field.k) for _ in range(schedule.n_rounds)]
-    return run_with_randomness(q, field, policy, r_seq, schedule)
+    return [rng.getrandbits(field.k) for _ in range(n_rounds)]
 
 
 def sweep_size(field: Field, schedule: RoundSchedule) -> int:
@@ -455,7 +461,14 @@ class FieldTables:
     verifier's round rule (``_kernels.purepy.combine_on``) on index arrays,
     with the multiply read from the product table; and ``matrix``, the
     matrix value at each final assignment read so far, filled as they are
-    read. Building raises ProtocolSizeError past the search cutoff."""
+    read. Building raises ProtocolSizeError past the search cutoff.
+
+    ``mul`` is the kernels' own product table (``_kernels.purepy._table``,
+    built once per field and process), read from ``purepy`` itself rather
+    than ``field.ops``, whose counting proxy carries no ``_table``. The
+    search cutoff keeps k <= 5 (every schedule has n >= 1 and a degree cap
+    of at least 2, so |F|^3 * |F|^2 <= 2^26), so the table path always
+    applies; a field past ``_TABLE_MAX_K`` raises ValueError."""
 
     def __init__(self, q: PrenexQbf, field: Field, schedule: RoundSchedule):
         import numpy as np
@@ -464,10 +477,11 @@ class FieldTables:
         dmax = max(schedule.degree_bounds)
         if order ** (dmax + 1) * order ** (q.n + 1) > MAX_SEARCH_WORK:
             raise ProtocolSizeError("candidate search space exceeds the cutoff")
+        if field.k > _kernels.purepy._TABLE_MAX_K:
+            raise ValueError(f"no product table for k = {field.k}")
         small = np.min_scalar_type(order - 1)  # field elements; sorts by radix
         self.elems = elems = np.arange(order, dtype=small)
-        self.mul = mul = np.array([[field.ops.gf_mul(a, b, field.g, field.k)
-                                    for b in range(order)] for a in range(order)], dtype=small)
+        self.mul = mul = np.array(_kernels.purepy._table(field.g, field.k), dtype=small)
         self.inv = (mul == 1).argmax(axis=1).astype(small)
         self.combine: dict[int, np.ndarray] = {}
         for kind in schedule.kinds:

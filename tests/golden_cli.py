@@ -149,6 +149,14 @@ def invocations() -> list[list[str]]:
         add("classical", "exhaustive", "--formula", text, "--k", k, "--prover", "optimal")
     add("classical", "run", "--formula", "A x1 A x2 : x1 & x2", "--k", "4",
         "--prover", "optimal", "--trials", "200", "--seed", "3")
+    # Runs with more trials than challenge strings, where each distinct string
+    # is verified once: the benchmark's optimal replay (64 strings, 500
+    # trials) as JSON and CSV, and an honest run on the 4 strings of k = 1.
+    for fmt in ("json", "csv"):
+        add("classical", "run", "--formula", "A x1 : x1", "--k", "3", "--prover", "optimal",
+            "--trials", "500", "--seed", "7", "--format", fmt)
+    add("classical", "run", "--formula", "E x1 : x1", "--k", "1", "--trials", "50",
+        "--seed", "3")
     # 2^23 formula evaluations behind round 1's message: refused.
     add("classical", "run", "--formula", _chain("A", 24, "x1 | ~x1"), "--k", "8")
 

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from cheater_oracle import combine, grouped_cheater, oracle_cheater, oracle_row_messages
 from strategies import formulas
+from test_kernels import ref_mul
 from qipsim import sumcheck
+from qipsim._kernels import purepy
 from qipsim.gf2k import Field
 from qipsim.qbf import parse_qbf
 from qipsim.quantum import full_lookahead
@@ -290,3 +292,23 @@ def test_python_int_counts_past_int64():
     policy, value = optimal_cheater(q, Field(1), s)
     assert value == Fraction(36893488147419102209, 36893488147419103232)
     assert policy.value == value
+
+
+def test_field_tables_mul_matches_reference(monkeypatch):
+    """``mul`` is the field's product table for k = 1..6. The search cutoff
+    refuses k = 6, so that table is built with the cutoff raised; past
+    ``_TABLE_MAX_K`` there is no table to read."""
+    q = parse_qbf("A x1 : x1")
+    schedule = build_schedule(q)
+    with pytest.raises(sumcheck.ProtocolSizeError):
+        FieldTables(q, Field(6), schedule)
+    monkeypatch.setattr(sumcheck, "MAX_SEARCH_WORK", 1 << 64)
+    for k in range(1, 7):
+        field = Field(k)
+        tables = FieldTables(q, field, schedule)
+        want = [[ref_mul(a, b, field.g) for b in range(field.order)]
+                for a in range(field.order)]
+        assert tables.mul.tolist() == want, k
+        assert tables.mul.dtype == tables.elems.dtype
+    with pytest.raises(ValueError, match="no product table"):
+        FieldTables(q, Field(purepy._TABLE_MAX_K + 1), schedule)

@@ -2,16 +2,22 @@ import csv
 import io
 import itertools
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import golden_cli
 import qipsim
-from qipsim.cli import build_parser, main
-from qipsim import quantum
+from strategies import formulas
+from qipsim.cli import TRIAL_SEED_STRIDE, build_parser, main
+from qipsim import quantum, sumcheck
+from qipsim.gf2k import Field
+from qipsim.qbf import to_text
 from qipsim.quantum import QuantumProtocol
 
 
@@ -186,6 +192,68 @@ def test_byte_identical_reports(capsys):
     _, out1, _ = run_cli(capsys, *argv)
     _, out2, _ = run_cli(capsys, *argv)
     assert out1 == out2
+
+
+def _count_verifications(monkeypatch) -> list:
+    calls = []
+    verify = sumcheck._verify
+
+    def counted(*args):
+        calls.append(args[-1])
+        return verify(*args)
+
+    monkeypatch.setattr(sumcheck, "_verify", counted)
+    return calls
+
+
+@pytest.mark.parametrize("prover", ["honest", "optimal"])
+def test_classical_run_verifies_each_string_once(capsys, monkeypatch, prover):
+    # k = 1, N = 2: 50 trials draw at most 4 distinct challenge strings
+    calls = _count_verifications(monkeypatch)
+    res = run_json(capsys, "classical", "run", "--formula", "A x1 : x1", "--k", "1",
+                   "--prover", prover, "--trials", "50")["result"]
+    rngs = [random.Random(t) for t in range(50)]  # seed 0: trial t draws on seed t
+    drawn = {(rng.getrandbits(1), rng.getrandbits(1)) for rng in rngs}
+    assert len(calls) == len(drawn) == len({tuple(r) for r in calls})
+    assert len(res["per_trial"]) == 50
+
+
+def test_classical_run_without_memo_verifies_every_trial(capsys, monkeypatch):
+    # |F|^N = 2^64 > 3 trials: no memo, one verification per trial
+    calls = _count_verifications(monkeypatch)
+    res = run_json(capsys, "classical", "run", "--formula", "E x1 : x1", "--k", "32",
+                   "--trials", "3")["result"]
+    assert len(calls) == 3 and res["accepted"] == 3
+
+
+@settings(max_examples=30)
+@given(formulas(), st.sampled_from((1, 2)), st.sampled_from(("honest", "optimal")),
+       st.booleans(), st.data())
+def test_classical_run_matches_independent_trials(q, k, prover, above, data):
+    """Trial counts above |F|^N run the memo and counts below it do not;
+    either way every trial's verdict is that of a fresh ``run_protocol``."""
+    field = Field(k)
+    schedule = sumcheck.build_schedule(q)
+    size = field.order ** schedule.n_rounds
+    trials = data.draw(st.integers(size, 2 * size) if above else st.integers(1, size - 1))
+    seed = data.draw(st.integers(0, 3))
+    event(f"n={q.n} k={k} {prover} {'memo' if above else 'no memo'}")
+    args = build_parser().parse_args([
+        "classical", "run", "--formula", to_text(q), "--k", str(k), "--prover", prover,
+        "--trials", str(trials), "--seed", str(seed)])
+    got = args.func(args)["per_trial"]
+    if prover == "honest":
+        policy = lambda: sumcheck.HonestPolicy(q, field, schedule)  # noqa: E731
+    else:
+        table = sumcheck.optimal_cheater(q, field, schedule)[0]
+        policy = lambda: table  # noqa: E731
+    want = []
+    for t in range(trials):
+        s = seed * TRIAL_SEED_STRIDE + t
+        tr = sumcheck.run_protocol(q, field, policy(), s, schedule)
+        want.append({"trial": t, "seed": s, "accepted": tr.accepted,
+                     "reject_round": tr.reject_round})
+    assert got == want
 
 
 def test_honest_prover_within_cutoff_is_accepted(capsys):
@@ -464,6 +532,7 @@ NUMPY_FREE = [
     ("field", "table", "--k", "3"),
     ("classical", "run", "--formula", _XNOR2, "--k", "4", "--trials", "100"),  # README's
     ("classical", "run", "--formula", "E x1 : x1", "--k", "64", "--trials", "2", "--seed", "7"),
+    ("classical", "run", "--formula", "E x1 : x1", "--k", "1", "--trials", "50", "--seed", "3"),
     ("classical", "exhaustive", "--formula", _XNOR2, "--k", "2", "--prover", "honest"),
     ("quantum", "run", "--formula", _XNOR2, "--k", "2", "--m", "2", "--prover", "honest"),
     ("quantum", "run", "--formula", _XNOR2, "--k", "2", "--m", "2", "--prover", "honest",

@@ -30,6 +30,7 @@ from qipsim.sumcheck import (
     build_schedule,
     check_transcript,
     correct_polynomial,
+    draw_challenges,
     honest_always_accepts,
     honest_policy,
     optimal_cheater,
@@ -441,6 +442,18 @@ def test_negative_seed_refused():
     f = Field(4)
     with pytest.raises(ValueError, match="non-negative"):
         run_protocol(q, f, honest_policy(q, f), rng=-5)
+    with pytest.raises(ValueError, match="non-negative"):
+        draw_challenges(f, 2, -5)
+
+
+@given(st.integers(0, 2**40), st.sampled_from((1, 3, 32, 64)), st.integers(0, 9))
+def test_draw_challenges_rule(seed, k, n_rounds):
+    """A seeded run's challenges are N k-bit draws from ``random.Random``,
+    from an int seed or from a generator passed in."""
+    rng = random.Random(seed)
+    want = [rng.getrandbits(k) for _ in range(n_rounds)]
+    assert draw_challenges(Field(k), n_rounds, seed) == want
+    assert draw_challenges(Field(k), n_rounds, random.Random(seed)) == want
 
 
 def test_honest_sweeps():
