@@ -49,13 +49,13 @@ Two engines compute the same stages. The sparse engine holds branches in a
 dict of ``BasisState``s and replays the scalar verifier on each; it runs
 the honest and biased provers, a plain ``RowProver(row_phi)`` and every
 whole-matrix prover, and it is exact integer and rational arithmetic with
-no numpy. The row prover ``full_lookahead`` returns also gives its
-messages on every row at once, as arrays from the lookahead search, so its
-one-row run takes the array engine: step 1 is the verifier on arrays
+no numpy. The row prover ``full_lookahead`` returns keeps its messages in
+one table, arrays over every row from one lookahead search, so its one-row
+run takes the array engine: step 1 is the verifier on arrays
 (``sumcheck.verify_rows``), step 4 integer group counts per u, and the
-event a comparison of the first message column. numpy is imported only
-inside that engine, the dense oracle and the lookahead search in
-``sumcheck``.
+event a comparison of the first message column; its ``row_phi``, for the
+dense oracle and the joint path, reads the same table. numpy is imported
+only inside that engine, the dense oracle and the lookahead search.
 """
 
 from __future__ import annotations
@@ -79,7 +79,6 @@ from .sumcheck import (
     TranscriptOracle,
     build_schedule,
     correct_polynomial,
-    lookahead_block,
     lookahead_rows,
     transcript_valid,
     verify_rows,
@@ -284,30 +283,19 @@ def full_lookahead(q: PrenexQbf, field: Field,
                    schedule: RoundSchedule | None = None) -> RowProver:
     """The canonical cheating strategy: for each row, read the entire
     challenge row and send the message vector the classical verifier
-    accepts that ``accepting_row_messages`` finds, falling back to the
-    honest messages when none exists. A row not searched yet is searched
-    with every row that shares all but its last few challenges, in one
-    block of the lookahead search (``lookahead_block``), and the memo keeps
-    the whole block.
+    accepts that a depth-first search in product order finds, falling back
+    to the honest messages when none exists.
 
-    The prover also has an array form (``RowProver.arrays``): the search on
-    every row at once (``lookahead_rows``), with the honest messages on the
-    rows it loses, and the one ``FieldTables`` the search built.
-    ``QuantumProtocol.run`` simulates one row from it. ``row_phi`` stays
-    for the dense oracle and the joint path, which ask one challenge
-    matrix at a time."""
+    Its one message table is its array form (``RowProver.arrays``): the
+    lookahead search on every row at once (``lookahead_rows``, run once on
+    first use), with the honest messages on the rows it loses. ``row_phi``,
+    for the dense oracle and the joint path, reads that table through a
+    dict built on its first call, and raises ValueError on any other row."""
     import numpy as np
 
     schedule = schedule or build_schedule(q)
     oracle = TranscriptOracle(q, field, schedule)
     tables = FieldTables(q, field, schedule)
-    memo: dict[tuple[int, ...], Optional[tuple[UniPoly, ...]]] = {}
-
-    def row_phi(r_row: tuple[int, ...]) -> tuple[UniPoly, ...]:
-        if r_row not in memo:
-            memo.update(lookahead_block(q, field, r_row, schedule, tables))
-        out = memo[r_row]
-        return out if out is not None else oracle.correct_row(r_row)
 
     @functools.cache
     def every_row() -> tuple[FieldTables, np.ndarray, np.ndarray]:
@@ -318,6 +306,19 @@ def full_lookahead(q: PrenexQbf, field: Field,
         # every run of this prover reads the same cached arrays
         rows.flags.writeable = msgs.flags.writeable = False
         return tables, rows, msgs
+
+    @functools.cache
+    def by_row() -> dict[tuple[int, ...], tuple[UniPoly, ...]]:
+        _, rows, msgs = every_row()
+        # each row's N messages, cut out by zipping one iterator N times
+        polys = map(tuple, msgs.reshape(-1, msgs.shape[2]).tolist())
+        return dict(zip(map(tuple, rows.tolist()), zip(*[polys] * schedule.n_rounds)))
+
+    def row_phi(r_row: tuple[int, ...]) -> tuple[UniPoly, ...]:
+        out = by_row().get(r_row)
+        if out is None:
+            raise ValueError(f"not a row of {schedule.n_rounds} challenges in GF(2^{field.k})")
+        return out
 
     def arrays(q_: PrenexQbf, field_: Field):
         return every_row() if (q_, field_) == (q, field) else None

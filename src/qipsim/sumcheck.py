@@ -37,10 +37,12 @@ chain evaluates to the formula's truth value, so an honest run on a true
 formula never trips a check, and on a false formula the very first message
 already contradicts the claim.
 
-Only the optimal cheater, the full-lookahead search and the verifier on
-arrays that checks its messages (``verify_rows``) build numpy tables, so
-numpy is imported inside those functions: the scalar verifier, the honest
-prover and the sweep run without loading it.
+The full-lookahead search counts won rows (``winnable_rows``) or gives
+every row's messages as arrays (``lookahead_rows``), the one message table
+``quantum.full_lookahead`` reads. Only that search, the optimal cheater and
+the verifier on arrays that checks its messages (``verify_rows``) build
+numpy tables, so numpy is imported inside those functions: the scalar
+verifier, the honest prover and the sweep run without loading it.
 """
 
 from __future__ import annotations
@@ -649,12 +651,6 @@ def optimal_cheater(
     return TabulatedPolicy(q, field, schedule, choice, p), p
 
 
-def _check_row(field: Field, schedule: RoundSchedule, r_row: Sequence[int]) -> list[int]:
-    if len(r_row) != schedule.n_rounds:
-        raise ValueError(f"need {schedule.n_rounds} challenges")
-    return [field.check(r) for r in r_row]
-
-
 def _free_width(order: int, n_rounds: int) -> int:
     """How many trailing challenges a block of the lookahead search leaves
     free: the most whose rows, |F|^2 pairs each, fit in ``_SCORE_BLOCK``
@@ -844,9 +840,11 @@ def lookahead_rows(q: PrenexQbf, field: Field, schedule: RoundSchedule,
     message vector the verifier accepts, and a rows x N x (d + 1) array of
     those vectors, each message zero-padded to d + 1 coefficients and a
     lost row all zeros. Rows and messages take the field's narrowest
-    unsigned dtype."""
+    unsigned dtype. The sweep cutoff on |F|^N is checked before any
+    search."""
     import numpy as np
 
+    sweep_size(field, schedule)
     order, n_rounds = field.order, schedule.n_rounds
     small = tables.elems.dtype
     fixed = n_rounds - _free_width(order, n_rounds)
@@ -885,45 +883,6 @@ def verify_rows(q: PrenexQbf, field: Field, schedule: RoundSchedule, tables: Fie
         for c in range(bound - 1, -1, -1):
             v = tables.mul[v, r] ^ f[:, c]
     return ok & (v == _matrix_values(q, field, schedule, tables, assign))
-
-
-def accepting_row_messages(
-    q: PrenexQbf,
-    field: Field,
-    r_row: Sequence[int],
-    schedule: RoundSchedule | None = None,
-    tables: FieldTables | None = None,
-) -> Optional[tuple[UniPoly, ...]]:
-    """A message vector the verifier accepts when the whole challenge string
-    is known in advance, or None when no such vector exists: what a prover
-    with full lookahead would send, from the lookahead search on this one
-    row (``_lookahead_search``). Pass ``tables`` built once for
-    (q, field, schedule) when searching many rows; the search cutoff is
-    checked when the tables are built."""
-    schedule = schedule or build_schedule(q)
-    if tables is None:
-        tables = FieldTables(q, field, schedule)
-    row = _check_row(field, schedule, r_row)
-    _, won, sent = _lookahead_search(q, field, schedule, tables, row, True)
-    return tuple(tuple(msgs[0].tolist()) for msgs in sent) if won[0] else None
-
-
-def lookahead_block(
-    q: PrenexQbf,
-    field: Field,
-    r_row: Sequence[int],
-    schedule: RoundSchedule,
-    tables: FieldTables,
-) -> dict[tuple[int, ...], Optional[tuple[UniPoly, ...]]]:
-    """``accepting_row_messages`` for r_row and every row that shares all
-    but its last few challenges with it, from one block of the lookahead
-    search: a dict from row to message vector or None."""
-    n_rounds = schedule.n_rounds
-    prefix = _check_row(field, schedule, r_row)[: n_rounds - _free_width(field.order, n_rounds)]
-    rows, won, sent = _lookahead_search(q, field, schedule, tables, prefix, True)
-    found = zip(*(msgs.tolist() for msgs in sent))
-    return {tuple(row): tuple(map(tuple, next(found))) if w else None
-            for row, w in zip(rows.tolist(), won.tolist())}
 
 
 def winnable_rows(q: PrenexQbf, field: Field, schedule: RoundSchedule | None = None) -> int:

@@ -83,6 +83,10 @@ def invocations() -> list[list[str]]:
         "--prover", "lookahead:full", "--dense-check")
     add("quantum", "run", "--formula", "A x1 : x1 & x1 & x1", "--k", "2", "--m", "1",
         "--prover", "lookahead:full", "--dense-check")
+    # The first n = 2 dense checks: 32 rows and 25 qubits each.
+    for text in ("A x1 A x2 : x1 & x2", "A x1 E x2 : (x1 | ~x2) & (~x1 | x2)"):
+        add("quantum", "run", "--formula", text, "--k", "1", "--m", "1",
+            "--prover", "lookahead:full", "--dense-check")
     add("quantum", "run", "--formula", "A x1 : x1", "--k", "4", "--m", "3",
         "--prover", "lookahead:full")
     # One-row lookahead runs over all 8^5 challenge rows at n = 2.

@@ -21,7 +21,6 @@ from qipsim.quantum import full_lookahead
 from qipsim.sumcheck import (
     FieldTables,
     TranscriptOracle,
-    accepting_row_messages,
     build_schedule,
     optimal_cheater,
     run_with_randomness,
@@ -37,7 +36,7 @@ GROUPED_WORK = 1 << 20
 
 def vectors(sent) -> list:
     """The search's per-round message arrays as one tuple of messages per
-    won row, the form ``accepting_row_messages`` returns."""
+    won row, each message as long as its round's degree cap + 1."""
     return [tuple(map(tuple, vec)) for vec in zip(*(msgs.tolist() for msgs in sent))]
 
 
@@ -99,23 +98,29 @@ def test_row_search_matches_oracle(inst):
     want = [oracle_row_messages(q, field, row, schedule) for row in rows]
     tables = FieldTables(q, field, schedule)
     for row, w in zip(rows, want):
-        assert accepting_row_messages(q, field, row, schedule, tables=tables) == w, row
+        # a whole row as the prefix: the block lookahead_rows searches once
+        # a block holds one row
+        _, won, sent = sumcheck._lookahead_search(q, field, schedule, tables, row, True)
+        assert won.tolist() == [w is not None], row
+        assert vectors(sent) == ([w] if w is not None else []), row
     block, won, sent = sumcheck._lookahead_search(q, field, schedule, tables, (), True)
     assert block.tolist() == [list(row) for row in rows]
     assert won.tolist() == [w is not None for w in want]
     assert all(msgs.dtype == tables.elems.dtype for msgs in sent)
     assert vectors(sent) == [w for w in want if w is not None]
     assert winnable_rows(q, field, schedule) == sum(won)
+    # the prover's row_phi and its array form hold the same messages,
+    # zero-padded, with the honest ones on lost rows
     spec = full_lookahead(q, field, schedule)
     honest = TranscriptOracle(q, field, schedule)
-    for row, w in zip(rows, want):
-        assert spec.row_phi(row) == (w if w is not None else honest.correct_row(row)), row
-    # the array form holds the same messages, zero-padded, lost rows included
+    phis = [spec.row_phi(row) for row in rows]
     _, arr_rows, msgs = spec.arrays(q, field)
     assert arr_rows.tolist() == [list(row) for row in rows]
     width = schedule.degree_bound + 1
-    for row, vec in zip(rows, msgs.tolist()):
-        assert vec == [list(p) + [0] * (width - len(p)) for p in spec.row_phi(row)], row
+    for row, w, phi, vec in zip(rows, want, phis, msgs.tolist()):
+        padded = tuple(tuple(p) + (0,) * (width - len(p))
+                       for p in (w if w is not None else honest.correct_row(row)))
+        assert phi == padded == tuple(map(tuple, vec)), row
 
 
 @pytest.mark.parametrize("text", ["A x1 : x1", "E x1 A x2 : x1 & x2", "A x1 : x1 & x1 & x1"])

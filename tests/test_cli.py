@@ -17,7 +17,7 @@ from strategies import formulas
 from qipsim.cli import TRIAL_SEED_STRIDE, build_parser, main
 from qipsim import quantum, sumcheck
 from qipsim.gf2k import Field
-from qipsim.qbf import to_text
+from qipsim.qbf import parse_qbf, to_text
 from qipsim.quantum import QuantumProtocol
 
 
@@ -118,6 +118,32 @@ def test_quantum_run_lookahead_detected(capsys):
     assert res["events"]["resume_union_per_row"] == [
         {"rational": "1/1", "float": 1.0}
     ]
+
+
+def test_dense_check_searches_once(capsys, monkeypatch):
+    # the run's arrays and the dense oracle's row_phi read one message
+    # table, so one lookahead search serves both; row_phi after arrays on a
+    # fresh prover searches nothing more either
+    calls = []
+    search = sumcheck._lookahead_search
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(sumcheck, "_lookahead_search", counted)
+    text = "A x1 : x1 & x1 & x1"
+    res = run_json(capsys, "quantum", "run", "--formula", text, "--k", "2", "--m", "1",
+                   "--prover", "lookahead:full", "--dense-check")["result"]
+    assert res["dense_check"]["agrees"] is True
+    assert len(calls) == 1
+    q, field = parse_qbf(text), Field(2)
+    spec = quantum.full_lookahead(q, field)
+    spec.arrays(q, field)
+    assert len(calls) == 2
+    for row in itertools.product(field.elements(), repeat=2):
+        spec.row_phi(row)
+    assert len(calls) == 2
 
 
 def test_quantum_run_biased_single(capsys):

@@ -411,6 +411,28 @@ def test_row_path_cutoffs():
         many.run(HonestProver())
 
 
+def test_lookahead_table_refused_past_sweep_cutoff(monkeypatch):
+    # at n = 6, k = 1 the message table would hold 2^27 rows: the first
+    # row_phi call is refused by the sweep cutoff before any search
+    def no_search(*args):
+        raise AssertionError("the lookahead search ran past the sweep cutoff")
+
+    monkeypatch.setattr(sumcheck, "_lookahead_search", no_search)
+    q = parse_qbf(" ".join(f"A x{i}" for i in range(1, 7)) + " : x1 & x2")
+    spec = full_lookahead(q, Field(1))
+    with pytest.raises(ProtocolSizeError, match="exhaustive cutoff"):
+        spec.row_phi((0,) * 27)
+
+
+def test_lookahead_row_phi_refuses_bad_rows():
+    q, f = parse_qbf("A x1 : x1"), Field(1)
+    phi = full_lookahead(q, f).row_phi
+    assert len(phi((1, 0))) == 2
+    for bad in ((0,), (0, 0, 0), (0, 2), (-1, 0)):
+        with pytest.raises(ValueError, match="not a row of 2 challenges in GF"):
+            phi(bad)
+
+
 def test_joint_engine_u_cap():
     # the N^m cap holds for every prover, and the u vectors are drawn before
     # round 1: one biased branch over 17 rows is refused at once

@@ -19,20 +19,22 @@ from test_kernels import ref_formula, ref_horner, ref_mul, ref_quantified
 from qipsim._kernels import K_EXISTS, K_FORALL, K_REDUCE, purepy
 from qipsim.gf2k import Field, poly_degree, poly_trim
 from qipsim.qbf import compile_matrix, eval_qbf, parse_qbf
+from qipsim.quantum import full_lookahead
 from qipsim.sumcheck import (
+    FieldTables,
     HonestPolicy,
     MAX_PARTIAL_LEAVES,
     ProtocolSizeError,
     _suffix_evaluations,
     Transcript,
     TranscriptOracle,
-    accepting_row_messages,
     build_schedule,
     check_transcript,
     correct_polynomial,
     draw_challenges,
     honest_always_accepts,
     honest_policy,
+    lookahead_rows,
     optimal_cheater,
     partial_value,
     run_protocol,
@@ -718,8 +720,7 @@ def message_vectors(draw):
     schedule = build_schedule(q)
     elems = st.integers(0, field.order - 1)
     r = tuple(draw(elems) for _ in range(schedule.n_rounds))
-    f = list(accepting_row_messages(q, field, r, schedule) or TranscriptOracle(
-        q, field, schedule).correct_row(r))
+    f = list(full_lookahead(q, field, schedule).row_phi(r))
     j = draw(st.integers(0, schedule.n_rounds))  # 0: no change
     if j:
         bound = schedule.degree_bounds[j - 1]
@@ -929,22 +930,23 @@ def test_optimal_cheater_cutoff():
         optimal_cheater(parse_qbf("A x1 : x1"), Field(16))
 
 
-def test_accepting_row_messages():
+def test_lookahead_rows_messages_accepted():
+    # the search's array form: 15 of the 16 rows won, (0, 0) lost, each
+    # won row's messages an accepted transcript and a lost row's all zeros
     q = parse_qbf("A x1 : x1")
     f = Field(2)
     s = build_schedule(q)
-    assert accepting_row_messages(q, f, (0, 0), s) is None
-    winnable = 0
-    for row in itertools.product(f.elements(), repeat=2):
-        msgs = accepting_row_messages(q, f, row, s)
-        if msgs is not None:
-            winnable += 1
-            assert transcript_valid(q, s, f, row, msgs)
-    assert winnable == 15
+    rows, won, msgs = lookahead_rows(q, f, s, FieldTables(q, f, s))
+    assert rows.tolist() == [list(row) for row in itertools.product(f.elements(), repeat=2)]
+    assert int(won.sum()) == 15 and not won[0]
+    assert not msgs[0].any()
+    for row, vec in zip(rows[won].tolist(), msgs[won].tolist()):
+        assert transcript_valid(q, s, f, row, [tuple(p) for p in vec]), row
 
 
 def test_accepting_rows_true_formula_all_win():
     q = parse_qbf("E x1 : x1")
     f = Field(2)
-    for row in itertools.product(f.elements(), repeat=2):
-        assert accepting_row_messages(q, f, row) is not None
+    s = build_schedule(q)
+    _, won, _ = lookahead_rows(q, f, s, FieldTables(q, f, s))
+    assert len(won) == 16 and won.all()
