@@ -16,27 +16,29 @@ graphs: no ``BoolExpr`` node or ``Field`` method is touched inside a loop.
 A partial value and an honest message are the same object, the value of
 an operator suffix, and one walk computes both (``_suffix``): at a point
 (``quantified_value``), or with the round variable held as a polynomial in
-z (``honest_message``), which needs no interpolation. ``_boolean_value``
-takes over where every variable is 0 or 1, and ``combine_on`` is the one
-round rule, the verifier's included.
+z (``honest_message``), which needs no interpolation. The same walk
+memoizes its values at Boolean points, and ``combine_on`` is the one round
+rule, the verifier's included. The gates are written once too: one postfix
+runner (``_run_postfix``) evaluates the formula on field elements,
+polynomials in z and whole tables.
 
 The sweep (``honest_sweep``) builds the suffix values as tables instead,
 one bottom-up pass per round (``_suffix_tables``): the matrix at every
-point of F^n, from the postfix runner that ``_z_formula`` shares run on
-whole tables, then each round's operator on whole tables through
-``combine_on``. Every line of a table along its round's variable must
-equal its interpolant through the round's nodes at every field element.
-The sweep shares the gates and the round rule with the prover but none of
-its polynomial arithmetic (products of sequences, the fold past the
-field), so it checks completeness, not the messages ``honest_message``
-builds; the tests check those against a recursion that shares no code with
-this module.
+point of F^n, from the postfix runner run on whole tables, then each
+round's operator on whole tables through ``combine_on``. Every line of a
+table along its round's variable must equal its interpolant through the
+round's nodes at every field element. The sweep shares the gates and the
+round rule with the prover but none of its polynomial arithmetic (products
+of sequences, the fold past the field), so it checks completeness, not
+the messages ``honest_message`` builds; the tests check those against a
+recursion that shares no code with this module.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from collections.abc import Sequence
 
 NAME = "pure"
@@ -240,27 +242,11 @@ def _lagrange_basis(xs: tuple[int, ...], g: int, k: int) -> tuple[tuple[int, ...
 
 
 def eval_formula(prog: Sequence[int], assign: Sequence[int], g: int, k: int) -> int:
-    """Run a postfix formula program over the field. assign is indexed by
-    0-based variable number; Boolean gates use 1+a, ab and a+b+ab. A gate
-    with a 0/1 operand makes no field multiply, since ``gf_mul`` returns
-    a*b for one."""
-    stack: list[int] = []
-    for pos in range(0, len(prog), 2):
-        op = prog[pos]
-        arg = prog[pos + 1]
-        if op == OP_VAR:
-            stack.append(assign[arg])
-        elif op == OP_NOT:
-            stack[-1] ^= 1
-        elif op == OP_AND:
-            b = stack.pop()
-            a = stack[-1]
-            stack[-1] = gf_mul(a, b, g, k)
-        else:
-            b = stack.pop()
-            a = stack[-1]
-            stack[-1] = a ^ b ^ gf_mul(a, b, g, k)
-    return stack[-1]
+    """Run a postfix formula program over the field (``_run_postfix`` on XOR
+    and ``gf_mul``). assign is indexed by 0-based variable number; Boolean
+    gates use 1+a, ab and a+b+ab. A gate with a 0/1 operand makes no field
+    multiply, since ``gf_mul`` returns a*b for one."""
+    return _run_postfix(prog, assign, operator.xor, gf_mul, g, k)
 
 
 def combine_on(mul, add, kind: int, rho, f0, f1, g: int, k: int):
@@ -309,8 +295,8 @@ def quantified_value(
     return _suffix(kinds, tvars, start, -1, prog, assign, mask, pending, g, k, memo)
 
 
-# A memo of suffix values at Boolean points, scalar (``_boolean_value``) and
-# symbolic (``_suffix`` with x_t held as z) alike, takes no entry past this
+# A memo of suffix values at Boolean points (``_suffix``), scalar and
+# symbolic (x_t held as z) alike, takes no entry past this
 # size; it is a sixteenth of sumcheck.MAX_PARTIAL_LEAVES, the most
 # evaluations one suffix walk at a point may make. The cap counts entries,
 # not bytes. A scalar entry is 0 or 1. A symbolic entry is 0, 1 or a list of
@@ -319,51 +305,6 @@ def quantified_value(
 # variable, so its size grows with how often that variable occurs in the
 # formula.
 MEMO_MAX_ENTRIES = 1 << 18
-
-
-def _boolean_value(
-    kinds: Sequence[int],
-    tvars: Sequence[int],
-    start: int,
-    prog: Sequence[int],
-    assign: list[int],
-    mask: int,
-    g: int,
-    k: int,
-    memo: dict[int, int | Sequence[int]],
-) -> int:
-    """``quantified_value`` where every entry of assign is 0 or 1 (bit t of
-    mask is assign[t]) and kinds[start] is a quantifier round or the end of
-    the chain. Every reduce round of the suffix is then skipped, and the
-    value is the 0/1 truth value of the residual QBF: AND over a forall
-    round, OR over an exists.
-
-    Values are read from and stored in ``memo``, keyed by (start, mask),
-    and none is stored once the memo holds MEMO_MAX_ENTRIES. No call tree
-    meets one state twice, so a fresh memo changes no evaluation count."""
-    n = len(kinds)
-    key = mask * (n + 1) + start
-    v = memo.get(key)
-    if v is not None:
-        return v
-    if start == n:
-        v = eval_formula(prog, assign, g, k)
-    else:
-        t = tvars[start]
-        old = assign[t]
-        bit = 1 << t
-        nxt = start + 1
-        while nxt < n and kinds[nxt] == K_REDUCE:
-            nxt += 1
-        assign[t] = 0
-        v0 = _boolean_value(kinds, tvars, nxt, prog, assign, mask & ~bit, g, k, memo)
-        assign[t] = 1
-        v1 = _boolean_value(kinds, tvars, nxt, prog, assign, mask | bit, g, k, memo)
-        assign[t] = old
-        v = v0 & v1 if kinds[start] == K_FORALL else v0 | v1
-    if len(memo) < MEMO_MAX_ENTRIES:
-        memo[key] = v
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -410,9 +351,9 @@ def _zmul(a, b, g: int, k: int):
 
 def _run_postfix(prog: Sequence[int], leaves: Sequence, add, mul, g: int, k: int):
     """Run a postfix formula program on the given addition and multiply,
-    with leaves[s] the value of variable s: ``eval_formula``'s gates on
-    other operands, such as polynomials in z (``_z_formula``) or whole
-    tables (``_suffix_tables``)."""
+    with leaves[s] the value of variable s: the gates, written once, on
+    field elements (``eval_formula``), polynomials in z (``_z_formula``) or
+    whole tables (``_suffix_tables``)."""
     stack: list = []
     for pos in range(0, len(prog), 2):
         op = prog[pos]
@@ -451,18 +392,19 @@ def _suffix(kinds, tvars, start, t, prog, assign, mask, pending, g, k, memo):
     branch on their variable and combine the branches (``combine_on``).
 
     With none pending, the value depends only on (start, t, mask), not on
-    any challenge. With t < 0, ``_boolean_value`` takes over with ``memo``.
-    With t >= 0, it is read from and stored in ``memo`` under a negative
-    key, apart from ``_boolean_value``'s, and within the same
-    MEMO_MAX_ENTRIES."""
+    any challenge, and it is read from and stored in ``memo``, none once
+    the memo holds MEMO_MAX_ENTRIES. With t < 0 the point is Boolean, every
+    reduce round is skipped, so kinds[start] is a quantifier round or the
+    end of the chain, and the value is the 0/1 truth value of the residual
+    QBF; its key is mask * (N + 1) + start. With t >= 0 the key is negative,
+    apart from those. No call tree meets one state twice, so a fresh memo
+    changes no evaluation count."""
     n = len(kinds)
     while (start < n and kinds[start] == K_REDUCE and tvars[start] != t
            and assign[tvars[start]] <= 1):
         start += 1
     if not pending:
-        if t < 0:
-            return _boolean_value(kinds, tvars, start, prog, assign, mask, g, k, memo)
-        key = ~((mask * len(assign) + t) * (n + 1) + start)
+        key = mask * (n + 1) + start if t < 0 else ~((mask * len(assign) + t) * (n + 1) + start)
         v = memo.get(key)
         if v is not None:
             return v
@@ -484,7 +426,7 @@ def _suffix(kinds, tvars, start, t, prog, assign, mask, pending, g, k, memo):
                      g, k, memo)
         assign[s] = old
         v = combine_on(_zmul, _zadd, kinds[start], rho, v0, v1, g, k)
-    if t >= 0 and not pending and len(memo) < MEMO_MAX_ENTRIES:
+    if not pending and len(memo) < MEMO_MAX_ENTRIES:
         memo[key] = v
     return v
 

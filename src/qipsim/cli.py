@@ -36,6 +36,7 @@ from .quantum import (
     QuantumProtocol,
     check_dense_size,
     dense_oracle,
+    frac_doc,
     full_lookahead,
 )
 from .sumcheck import (
@@ -88,10 +89,6 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _frac_doc(x: Fraction) -> dict:
-    return {"rational": f"{x.numerator}/{x.denominator}", "float": float(x)}
-
-
 def _load_formula(args):
     if args.formula is not None:
         text = args.formula
@@ -115,6 +112,15 @@ def _add_output_args(p: argparse.ArgumentParser):
 
 # ---------------------------------------------------------------------------
 # classical
+
+
+def _classical_header(q, field: Field, schedule) -> tuple[dict, Fraction]:
+    """The fields both classical reports open with, and the soundness cap
+    d*N/|F| among them."""
+    cap = Fraction(schedule.degree_bound * schedule.n_rounds, field.order)
+    header = {"n": q.n, "N": schedule.n_rounds, "k": field.k, "d": schedule.degree_bound,
+              "soundness_cap": frac_doc(cap)}
+    return header, cap
 
 
 def cmd_classical_run(args) -> dict:
@@ -155,20 +161,11 @@ def cmd_classical_run(args) -> dict:
                 "reject_round": tr.reject_round,
             }
         )
-    cap = Fraction(schedule.degree_bound * schedule.n_rounds, field.order)
-    result = {
-        "n": q.n,
-        "N": schedule.n_rounds,
-        "k": field.k,
-        "d": schedule.degree_bound,
-        "trials": args.trials,
-        "accepted": accepted,
-        "acceptance": _frac_doc(Fraction(accepted, args.trials)),
-        "soundness_cap": _frac_doc(cap),
-        "per_trial": per_trial,
-    }
+    result, _ = _classical_header(q, field, schedule)
+    result.update(trials=args.trials, accepted=accepted,
+                  acceptance=frac_doc(Fraction(accepted, args.trials)), per_trial=per_trial)
     if optimal_value is not None:
-        result["optimal_acceptance"] = _frac_doc(optimal_value)
+        result["optimal_acceptance"] = frac_doc(optimal_value)
     return result
 
 
@@ -176,28 +173,21 @@ def cmd_classical_exhaustive(args) -> dict:
     q = _load_formula(args)
     field = Field(args.k)
     schedule = build_schedule(q)
-    cap = Fraction(schedule.degree_bound * schedule.n_rounds, field.order)
-    result = {
-        "n": q.n,
-        "N": schedule.n_rounds,
-        "k": field.k,
-        "d": schedule.degree_bound,
-        "prover": args.prover,
-        "soundness_cap": _frac_doc(cap),
-    }
+    result, cap = _classical_header(q, field, schedule)
+    result["prover"] = args.prover
     if args.prover == "honest":
         result["all_accept"] = honest_always_accepts(q, field, schedule)
         result["draws"] = sweep_size(field, schedule)
     elif args.prover == "optimal":
         _, value = optimal_cheater(q, field, schedule)
-        result["max_acceptance"] = _frac_doc(value)
+        result["max_acceptance"] = frac_doc(value)
         result["within_cap"] = value <= cap
     else:  # lookahead:full
         total = sweep_size(field, schedule)
         winnable = winnable_rows(q, field, schedule)
         result["winnable_rows"] = winnable
         result["total_rows"] = total
-        result["winnable_fraction"] = _frac_doc(Fraction(winnable, total))
+        result["winnable_fraction"] = frac_doc(Fraction(winnable, total))
     return result
 
 

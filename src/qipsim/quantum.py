@@ -299,7 +299,7 @@ def full_lookahead(q: PrenexQbf, field: Field,
 
     @functools.cache
     def every_row() -> tuple[FieldTables, np.ndarray, np.ndarray]:
-        rows, won, msgs = lookahead_rows(q, field, schedule, tables)
+        rows, won, msgs = lookahead_rows(tables)
         for i in np.flatnonzero(~won).tolist():
             for j, poly in enumerate(oracle.correct_row(tuple(rows[i].tolist()))):
                 msgs[i, j, :len(poly)] = poly
@@ -357,6 +357,11 @@ class EventQuery:
         return cls("all", v=tuple(v))
 
 
+def frac_doc(x: Fraction) -> dict:
+    """A probability in a report: exact, and as a float."""
+    return {"rational": f"{x.numerator}/{x.denominator}", "float": float(x)}
+
+
 @dataclass
 class QuantumRunReport:
     params: dict
@@ -369,21 +374,18 @@ class QuantumRunReport:
     events: Optional[list[Fraction]] = None  # per-row resume-union, or None
 
     def to_dict(self) -> dict:
-        def frac(x: Fraction) -> dict:
-            return {"rational": f"{x.numerator}/{x.denominator}", "float": float(x)}
-
         doc = {
             "params": self.params,
             "per_u": [
-                {"u": list(u), "step1_pass": frac(self.step1_pass), "accept": frac(a)}
+                {"u": list(u), "step1_pass": frac_doc(self.step1_pass), "accept": frac_doc(a)}
                 for u, a in self.per_u
             ],
-            "mean_accept": frac(self.mean_accept),
+            "mean_accept": frac_doc(self.mean_accept),
             "bound": self.bound,
         }
         if self.events is not None:
             doc["events"] = {
-                "resume_union_per_row": [frac(p) for p in self.events]
+                "resume_union_per_row": [frac_doc(p) for p in self.events]
             }
         return doc
 
@@ -656,7 +658,7 @@ class QuantumProtocol:
         order, n_rounds, k = self.field.order, self.layout.n_rounds, self.field.k
         if msgs.shape != (order ** n_rounds, n_rounds, self.layout.degree_bound + 1):
             raise ValueError("message matrix shape mismatch")
-        ok = verify_rows(self.q, self.field, self.schedule, tables, rows, msgs)
+        ok = verify_rows(tables, rows, msgs)
         kept = int(ok.sum())
         scale = order ** n_rounds
         p = Fraction(kept, scale)
@@ -807,16 +809,14 @@ def check_dense_size(layout: RegisterLayout) -> None:
         )
 
 
-def _butterfly(sv: np.ndarray, qubit: int, scale: float = 1) -> None:
-    """(lo, hi) -> scale * (lo + hi, lo - hi) on every pair of amplitudes of
-    sv that differ in that qubit, in place and with no temporary. With the
-    default scale an integer vector stays integer."""
+def _butterfly(sv: np.ndarray, qubit: int) -> None:
+    """(lo, hi) -> (lo + hi, lo - hi), sqrt(2) times the Hadamard gate, on
+    every pair of amplitudes of sv that differ in that qubit, in place and
+    with no temporary, so an integer vector stays integer."""
     v = sv.reshape(-1, 2, 1 << qubit)
     lo, hi = v[:, 0], v[:, 1]
     lo += hi
-    if scale != 1:
-        lo *= scale
-    hi *= -2 * scale
+    hi *= -2
     hi += lo
 
 

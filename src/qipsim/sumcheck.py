@@ -180,14 +180,13 @@ def correct_polynomial(
     the minimal-degree representative agreeing on all of F, which every
     check evaluates.
 
-    ``memo`` holds suffix values at Boolean points: the scalar ones of
-    ``_kernels.purepy._boolean_value``, and the symbolic ones of
-    ``_kernels.purepy._suffix``, the suffix as a polynomial in the round
-    variable where every other variable is 0 or 1. Neither depends on a
-    challenge, so a later message reads every sub-walk that reaches such a
-    point from it. A caller that asks for many messages of one instance
-    passes the same dict each time; without one, the call uses a fresh
-    dict."""
+    ``memo`` holds the suffix values the walk (``_kernels.purepy._suffix``)
+    meets at Boolean points: scalar ones where every variable is 0 or 1,
+    and symbolic ones, the suffix as a polynomial in the round variable
+    where every other variable is 0 or 1. Neither depends on a challenge,
+    so a later message reads every sub-walk that reaches such a point from
+    it. A caller that asks for many messages of one instance passes the
+    same dict each time; without one, the call uses a fresh dict."""
     if not 1 <= j <= schedule.n_rounds:
         raise ValueError(f"round index {j} outside 1..{schedule.n_rounds}")
     if len(r_prefix) != j - 1:
@@ -293,8 +292,8 @@ class HonestPolicy:
     """Replies with the correct polynomial every round, each from one walk
     of the operator suffix with the round variable held symbolic
     (``correct_polynomial``), the walk ``partial_value`` takes at a point.
-    One memo of suffix values at Boolean points, scalar and symbolic, serves
-    every message and every run of the policy."""
+    One memo of that walk's values at Boolean points, scalar and symbolic,
+    serves every message and every run of the policy."""
 
     def __init__(self, q: PrenexQbf, field: Field, schedule: RoundSchedule | None = None):
         self.q = q
@@ -457,13 +456,14 @@ def _digit_rows(order: int, width: int, dtype=int) -> np.ndarray:
 
 
 class FieldTables:
-    """The tables both searches and ``verify_rows`` read: the field's
-    product table ``mul`` and inverse table ``inv`` (``inv[0]`` is 0), and
-    for each kind code in the schedule ``combine[kind][rho, f0, f1]``, the
-    verifier's round rule (``_kernels.purepy.combine_on``) on index arrays,
-    with the multiply read from the product table; and ``matrix``, the
-    matrix value at each final assignment read so far, filled as they are
-    read. Building raises ProtocolSizeError past the search cutoff.
+    """The tables both searches and ``verify_rows`` read, for the one
+    instance (``q``, ``field``, ``schedule``) they were built for: the
+    field's product table ``mul`` and inverse table ``inv`` (``inv[0]`` is
+    0); for each kind code in the schedule ``combine[kind][rho, f0, f1]``,
+    the verifier's round rule (``_kernels.purepy.combine_on``) on index
+    arrays, with the multiply read from the product table; and ``matrix``,
+    the matrix value at every point of F^n, evaluated on first read. Building
+    raises ProtocolSizeError past the search cutoff, before any evaluation.
 
     ``mul`` is the kernels' own product table (``_kernels.purepy._table``,
     built once per field and process), read from ``purepy`` itself rather
@@ -475,6 +475,7 @@ class FieldTables:
     def __init__(self, q: PrenexQbf, field: Field, schedule: RoundSchedule):
         import numpy as np
 
+        self.q, self.field, self.schedule = q, field, schedule
         order = field.order
         dmax = max(schedule.degree_bounds)
         if order ** (dmax + 1) * order ** (q.n + 1) > MAX_SEARCH_WORK:
@@ -492,7 +493,25 @@ class FieldTables:
                     lambda a, b, g, k: mul[a, b], operator.xor, kind,
                     elems[:, None, None], elems[:, None], elems, field.g, field.k)
                 self.combine[kind] = np.broadcast_to(rule, (order,) * 3)
-        self.matrix: dict[tuple[int, ...], int] = {}
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """matrix[c]: the matrix value at the c-th point of F^n in
+        ``itertools.product`` order (``_digit_rows``), read-only."""
+        import numpy as np
+
+        field, prog = self.field, self.schedule.prog
+        values = np.array([field.ops.eval_formula(prog, a, field.g, field.k)
+                           for a in _digit_rows(field.order, self.q.n).tolist()], dtype=np.intp)
+        values.flags.writeable = False
+        return values
+
+    def matrix_at(self, assign: np.ndarray) -> np.ndarray:
+        """The matrix value at each row of ``assign`` (rows x n)."""
+        import numpy as np
+
+        n = self.q.n
+        return self.matrix[assign @ self.field.order ** np.arange(n - 1, -1, -1)]
 
 
 def _candidate_values(tables: FieldTables, bound: int) -> np.ndarray:
@@ -583,12 +602,10 @@ def optimal_cheater(
     pairs = order * order
     weight = order ** np.arange(n - 1, -1, -1, dtype=np.int64)  # code = a @ weight
     dtype = np.int64 if field.k * n_rounds <= 62 else object
-    # round N+1: every variable is bound, only the final matrix check is left
-    finals = _digit_rows(order, n)
-    matrix = [field.ops.eval_formula(schedule.prog, a, field.g, field.k)
-              for a in finals.tolist()]
+    # round N+1: every variable is bound, only the final matrix check is left;
+    # the codes of F^n in product order are 0, 1, ...
     counts = np.zeros((order ** n, order), dtype=dtype)  # V_j[code(a), v]
-    counts[finals @ weight, matrix] = 1
+    counts[np.arange(order ** n), tables.matrix] = 1
     by_bound: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     choice: dict[tuple, UniPoly] = {}
     for j in range(n_rounds, 0, -1):
@@ -732,24 +749,7 @@ def _round_inputs(schedule: RoundSchedule, n: int, rows: np.ndarray
     return rounds, assign
 
 
-def _matrix_values(q: PrenexQbf, field: Field, schedule: RoundSchedule,
-                   tables: FieldTables, assign: np.ndarray) -> np.ndarray:
-    """The matrix value at each row's final assignment, read from
-    ``tables.matrix`` after evaluating each distinct assignment not in it
-    yet."""
-    import numpy as np
-
-    codes = assign @ field.order ** np.arange(q.n)
-    _, final, at_final = np.unique(codes, return_index=True, return_inverse=True)
-    finals = list(map(tuple, assign[final].tolist()))
-    for a in finals:
-        if a not in tables.matrix:
-            tables.matrix[a] = field.ops.eval_formula(schedule.prog, a, field.g, field.k)
-    return np.array([tables.matrix[a] for a in finals])[at_final.ravel()]
-
-
-def _lookahead_search(q: PrenexQbf, field: Field, schedule: RoundSchedule,
-                      tables: FieldTables, prefix: Sequence[int], send: bool
+def _lookahead_search(tables: FieldTables, prefix: Sequence[int], send: bool
                       ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """The full-lookahead search on the block of challenge rows that start
     with ``prefix``: the rows in product order, whether each has a message
@@ -773,12 +773,13 @@ def _lookahead_search(q: PrenexQbf, field: Field, schedule: RoundSchedule,
     product order finds."""
     import numpy as np
 
-    order, n_rounds = field.order, schedule.n_rounds
+    schedule = tables.schedule
+    order, n_rounds = tables.field.order, schedule.n_rounds
     rows = np.empty((order ** (n_rounds - len(prefix)), n_rounds), dtype=np.intp)
     rows[:, :len(prefix)] = prefix
     rows[:, len(prefix):] = _digit_rows(order, n_rounds - len(prefix))
-    rounds, assign = _round_inputs(schedule, q.n, rows)
-    at = _matrix_values(q, field, schedule, tables, assign)
+    rounds, assign = _round_inputs(schedule, tables.q.n, rows)
+    at = tables.matrix_at(assign)
     # win_{N+1}, and each win set after it, as (its distinct sets, the row's
     # index into them); steps[j - 1] holds round j's reach for each
     # distinct (win_{j+1}, rho, r_j) and each row's index into those
@@ -833,8 +834,7 @@ def _lookahead_search(q: PrenexQbf, field: Field, schedule: RoundSchedule,
     return rows, won, sent
 
 
-def lookahead_rows(q: PrenexQbf, field: Field, schedule: RoundSchedule,
-                   tables: FieldTables) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def lookahead_rows(tables: FieldTables) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The lookahead search on every challenge row, one block at a time:
     the |F|^N rows in product order (``_digit_rows``), whether each has a
     message vector the verifier accepts, and a rows x N x (d + 1) array of
@@ -844,11 +844,12 @@ def lookahead_rows(q: PrenexQbf, field: Field, schedule: RoundSchedule,
     search."""
     import numpy as np
 
+    field, schedule = tables.field, tables.schedule
     sweep_size(field, schedule)
     order, n_rounds = field.order, schedule.n_rounds
     small = tables.elems.dtype
     fixed = n_rounds - _free_width(order, n_rounds)
-    blocks = [_lookahead_search(q, field, schedule, tables, prefix, True)
+    blocks = [_lookahead_search(tables, prefix, True)
               for prefix in itertools.product(field.elements(), repeat=fixed)]
     won = np.concatenate([won for _, won, _ in blocks])
     msgs = np.zeros((len(won), n_rounds, schedule.degree_bound + 1), dtype=small)
@@ -857,8 +858,7 @@ def lookahead_rows(q: PrenexQbf, field: Field, schedule: RoundSchedule,
     return _digit_rows(order, n_rounds, small), won, msgs
 
 
-def verify_rows(q: PrenexQbf, field: Field, schedule: RoundSchedule, tables: FieldTables,
-                rows: np.ndarray, msgs: np.ndarray) -> np.ndarray:
+def verify_rows(tables: FieldTables, rows: np.ndarray, msgs: np.ndarray) -> np.ndarray:
     """The verifier on arrays: for challenge rows ``rows`` (rows x N) and
     message vectors ``msgs`` (rows x N x width, lowest coefficient first),
     whether the verifier accepts each row's transcript, as
@@ -870,19 +870,19 @@ def verify_rows(q: PrenexQbf, field: Field, schedule: RoundSchedule, tables: Fie
     be the matrix value at the row's final assignment."""
     import numpy as np
 
-    rounds, assign = _round_inputs(schedule, q.n, rows)
+    rounds, assign = _round_inputs(tables.schedule, tables.q.n, rows)
     ok = np.ones(len(rows), dtype=bool)
     v = np.ones(len(rows), dtype=np.intp)
     for j, (kind, bound, rho, r) in enumerate(rounds):
         f = msgs[:, j]
-        ok &= ~f[:, bound + 1:].any(axis=1) & (f < field.order).all(axis=1)
+        ok &= ~f[:, bound + 1:].any(axis=1) & (f < tables.field.order).all(axis=1)
         # a rejected row's message is read as zeros, so every index is in F
         f = np.where(ok[:, None], f[:, :bound + 1], 0)
         ok &= tables.combine[kind][rho, f[:, 0], np.bitwise_xor.reduce(f, axis=1)] == v
         v = f[:, bound]
         for c in range(bound - 1, -1, -1):
             v = tables.mul[v, r] ^ f[:, c]
-    return ok & (v == _matrix_values(q, field, schedule, tables, assign))
+    return ok & (v == tables.matrix_at(assign))
 
 
 def winnable_rows(q: PrenexQbf, field: Field, schedule: RoundSchedule | None = None) -> int:
@@ -893,7 +893,7 @@ def winnable_rows(q: PrenexQbf, field: Field, schedule: RoundSchedule | None = N
     sweep_size(field, schedule)
     tables = FieldTables(q, field, schedule)
     fixed = schedule.n_rounds - _free_width(field.order, schedule.n_rounds)
-    return sum(int(_lookahead_search(q, field, schedule, tables, prefix, False)[1].sum())
+    return sum(int(_lookahead_search(tables, prefix, False)[1].sum())
                for prefix in itertools.product(field.elements(), repeat=fixed))
 
 
@@ -905,8 +905,8 @@ class TranscriptOracle:
     """Memoized honest messages. Round j's message depends only on the
     challenges r_1..r_{j-1}, so ``_rows`` holds one message per challenge
     prefix, and rows that share a prefix share its messages. ``_memo``
-    holds the suffix values at Boolean points, scalar and symbolic, that
-    every message's suffix walk (``correct_polynomial``) shares."""
+    holds the values at Boolean points, scalar and symbolic, of the one
+    suffix walk every message takes (``correct_polynomial``)."""
 
     def __init__(self, q: PrenexQbf, field: Field, schedule: RoundSchedule | None = None):
         self.q = q

@@ -100,10 +100,10 @@ def test_row_search_matches_oracle(inst):
     for row, w in zip(rows, want):
         # a whole row as the prefix: the block lookahead_rows searches once
         # a block holds one row
-        _, won, sent = sumcheck._lookahead_search(q, field, schedule, tables, row, True)
+        _, won, sent = sumcheck._lookahead_search(tables, row, True)
         assert won.tolist() == [w is not None], row
         assert vectors(sent) == ([w] if w is not None else []), row
-    block, won, sent = sumcheck._lookahead_search(q, field, schedule, tables, (), True)
+    block, won, sent = sumcheck._lookahead_search(tables, (), True)
     assert block.tolist() == [list(row) for row in rows]
     assert won.tolist() == [w is not None for w in want]
     assert all(msgs.dtype == tables.elems.dtype for msgs in sent)
@@ -133,8 +133,7 @@ def test_row_search_with_linear_reduce_rounds(text):
     linear = dataclasses.replace(schedule, degree_bounds=(1,) * schedule.n_rounds)
     rows = list(itertools.product(field.elements(), repeat=schedule.n_rounds))
     want = [oracle_row_messages(q, field, row, linear) for row in rows]
-    _, won, sent = sumcheck._lookahead_search(q, field, linear,
-                                              FieldTables(q, field, linear), (), True)
+    _, won, sent = sumcheck._lookahead_search(FieldTables(q, field, linear), (), True)
     assert won.tolist() == [w is not None for w in want]
     assert vectors(sent) == [w for w in want if w is not None]
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from strategies import formulas
 from qipsim import quantum, sumcheck
+from qipsim.bounds import check_mixture_bound, enumerate_coordinate_hits
 from qipsim.gf2k import Field
 from qipsim.qbf import parse_qbf
 from qipsim.quantum import (
@@ -354,7 +356,7 @@ def test_array_step1_matches_scalar_verifier(k, q, data):
             # delta, so f(0) and f(1) hold and only the final check can fail
             msgs[i, n_rounds - 1, 1:3] ^= delta
         hit.add(i)
-    mask = verify_rows(q, f, schedule, tables, rows, msgs)
+    mask = verify_rows(tables, rows, msgs)
     # every row up to 4096 rows, past that the corrupted rows and a sample
     check = range(len(rows)) if len(rows) <= 4096 else sorted(hit | set(range(0, len(rows), 61)))
     for i in check:
@@ -431,6 +433,54 @@ def test_lookahead_row_phi_refuses_bad_rows():
     for bad in ((0,), (0, 0, 0), (0, 2), (-1, 0)):
         with pytest.raises(ValueError, match="not a row of 2 challenges in GF"):
             phi(bad)
+
+
+def test_array_form_for_another_instance_is_not_read():
+    # a lookahead prover built for one formula, run under a protocol for
+    # another with the same N and field: its array form answers None, so the
+    # run takes the dict stages on row_phi, as the plain prover does
+    f = Field(2)
+    spec = full_lookahead(parse_qbf("A x1 : x1"), f)
+    proto = QuantumProtocol(parse_qbf("E x1 : x1"), f, 1)
+    assert proto._row_array_stages(spec) is None
+    assert proto.run(spec) == proto.run(LookaheadProver(spec.phi))
+
+
+_Q1 = parse_qbf("A x1 : x1")  # N = 2, messages of degree at most 2
+
+
+def _resume_union_of_row(i):
+    proto = QuantumProtocol(_Q1, Field(1), 1)
+    return proto.resume_union_probability(proto.prepare_round1(HonestProver()), i)
+
+
+@pytest.mark.parametrize("refused, message", [
+    (lambda: QuantumProtocol(_Q1, Field(1), 0), "need at least one register row"),
+    (lambda: QuantumProtocol(_Q1, Field(1), 1).run(
+        LookaheadProver(lambda R: (((0,) * 4,) * 2,))),
+     "message polynomial wider than its register"),
+    (lambda: QuantumProtocol(_Q1, Field(1), 1).run(LookaheadProver(lambda R: ((),))),
+     "message matrix shape mismatch"),
+    (lambda: QuantumProtocol(_Q1, Field(1), 1).run(BiasedSupportProver([((0,),)])),
+     "challenge matrix shape mismatch"),
+    (lambda: _resume_union_of_row(2), "event indices out of range"),
+    (lambda: sumcheck.correct_polynomial(_Q1, build_schedule(_Q1), Field(1), 2, ()),
+     "round 2 needs 1 prior challenges"),
+    (lambda: sumcheck.run_with_randomness(_Q1, Field(1), sumcheck.honest_policy(_Q1, Field(1)),
+                                          (0,)), "need 2 challenges"),
+    (lambda: sumcheck.TranscriptOracle(_Q1, Field(1)).correct_row((0, 0, 0)),
+     "need 2 challenges"),
+    (lambda: check_mixture_bound([0.75, 0.5], [0.5, 0.5], 0.5),
+     "weightings must have total mass at most 1"),
+    (lambda: enumerate_coordinate_hits(0, 1), "need N >= 1 and m >= 0"),
+    (lambda: parse_qbf("A : x1"), "expected a variable after 'A'"),
+    (lambda: parse_qbf("E x1 : x1 )"), "unexpected token ')' after the matrix"),
+], ids=["no-rows", "wide-message", "message-shape", "support-shape", "resume-row",
+        "prefix-length", "run-challenges", "oracle-challenges", "mixture-mass",
+        "hits-rounds", "quantifier-variable", "trailing-token"])
+def test_refusals_name_their_cause(refused, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        refused()
 
 
 def test_joint_engine_u_cap():
@@ -588,18 +638,22 @@ def test_resume_union_is_sum_of_resume_events(q, k, m, kind):
 
 
 def test_hadamard_involution():
+    # the unscaled gate is sqrt(2) H on each pair of amplitudes that differ
+    # in bit qb, so two of them give 2 * identity; an integer vector stays
+    # integer
     rng = np.random.default_rng(5)
-    for sv in (rng.normal(size=8), rng.normal(size=8) + 1j * rng.normal(size=8)):
+    h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    for sv in (rng.normal(size=8), rng.normal(size=8) + 1j * rng.normal(size=8),
+               rng.integers(-9, 10, size=8)):
         ref = sv.copy()
         for qb in range(3):
-            # one gate mixes each pair of amplitudes that differ in bit qb
-            pairs = ref.reshape(-1, 2, 1 << qb)
-            once = np.stack([pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]], axis=1)
-            quantum._butterfly(sv, qb, 1 / np.sqrt(2))
-            assert np.max(np.abs(sv - once.reshape(-1) / np.sqrt(2))) <= 1e-12
-            quantum._butterfly(sv, qb, 1 / np.sqrt(2))
+            hadamard = np.einsum("ab,ibj->iaj", h, ref.reshape(-1, 2, 1 << qb)).reshape(-1)
+            quantum._butterfly(sv, qb)
+            assert np.max(np.abs(sv - np.sqrt(2) * hadamard)) <= 1e-12
+            quantum._butterfly(sv, qb)
             assert sv.dtype == ref.dtype
-            assert np.max(np.abs(sv - ref)) <= 1e-12
+            assert np.max(np.abs(sv - 2 * ref)) <= 1e-12
+            sv[:] = ref
 
 
 def test_dense_codec_is_r_major():

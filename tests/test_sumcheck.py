@@ -936,7 +936,7 @@ def test_lookahead_rows_messages_accepted():
     q = parse_qbf("A x1 : x1")
     f = Field(2)
     s = build_schedule(q)
-    rows, won, msgs = lookahead_rows(q, f, s, FieldTables(q, f, s))
+    rows, won, msgs = lookahead_rows(FieldTables(q, f, s))
     assert rows.tolist() == [list(row) for row in itertools.product(f.elements(), repeat=2)]
     assert int(won.sum()) == 15 and not won[0]
     assert not msgs[0].any()
@@ -948,5 +948,5 @@ def test_accepting_rows_true_formula_all_win():
     q = parse_qbf("E x1 : x1")
     f = Field(2)
     s = build_schedule(q)
-    _, won, _ = lookahead_rows(q, f, s, FieldTables(q, f, s))
+    _, won, _ = lookahead_rows(FieldTables(q, f, s))
     assert len(won) == 16 and won.all()
