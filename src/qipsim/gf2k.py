@@ -105,16 +105,6 @@ class Field:
             return ()
         return tuple(self.ops.interpolate(xs, ys, self.g, self.k))
 
-    def encode(self, a: int) -> str:
-        """k-character '0'/'1' string; position i holds the x^i coefficient."""
-        self.check(a)
-        return "".join("1" if (a >> i) & 1 else "0" for i in range(self.k))
-
-    def decode(self, bits: str) -> int:
-        if len(bits) != self.k or set(bits) - {"0", "1"}:
-            raise ValueError(f"expected {self.k} characters of 0/1, got {bits!r}")
-        return sum(1 << i for i, c in enumerate(bits) if c == "1")
-
     def modulus_text(self) -> str:
         terms = [
             ("x^%d" % i if i > 1 else ("x" if i == 1 else "1"))

@@ -151,14 +151,6 @@ class RegisterLayout:
             raise ValueError(f"u must be {self.copies} coordinates in 1..{self.n_rounds}")
         return u
 
-    def kept_r_count(self, u: Sequence[int], i: int) -> int:
-        """Challenge columns of row i the verifier keeps: 1..u_i - 1."""
-        return u[i - 1] - 1
-
-    def kept_f_count(self, u: Sequence[int], i: int) -> int:
-        """Message columns of row i the verifier keeps: 1..u_i."""
-        return u[i - 1]
-
     def hadamard_count(self, u: Sequence[int]) -> int:
         """Number of challenge registers the final test transforms: columns
         u_i..N of each row."""
@@ -761,18 +753,6 @@ class QuantumProtocol:
             seed=seed if u_mode == "sample" else None,
             events=events,
         )
-
-
-def run_quantum(
-    q: PrenexQbf,
-    k: int,
-    m: int,
-    spec: ProverSpec,
-    u_mode: str = "exhaustive",
-    samples: int = 0,
-    seed: int = 0,
-) -> QuantumRunReport:
-    return QuantumProtocol(q, Field(k), m).run(spec, u_mode, samples, seed)
 
 
 # ---------------------------------------------------------------------------

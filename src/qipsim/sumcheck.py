@@ -288,25 +288,47 @@ class ProverPolicy(Protocol):
         ...
 
 
-class HonestPolicy:
-    """Replies with the correct polynomial every round, each from one walk
-    of the operator suffix with the round variable held symbolic
-    (``correct_polynomial``), the walk ``partial_value`` takes at a point.
-    One memo of that walk's values at Boolean points, scalar and symbolic,
-    serves every message and every run of the policy."""
+class TranscriptOracle:
+    """The honest prover: the correct polynomial every round. ``next_poly``,
+    the ``ProverPolicy`` method, answers one round of a classical run, and
+    ``correct_row`` gives a whole challenge row's messages, as the quantum
+    provers read them. Each message is one walk of the operator suffix with
+    the round variable held symbolic (``correct_polynomial``), the walk
+    ``partial_value`` takes at a point, and ``_memo`` keeps that walk's
+    values at Boolean points, scalar and symbolic, for every message of
+    every run. Round j's message depends only on r_1..r_{j-1}, so
+    ``correct_row`` also keeps one message per challenge prefix in
+    ``_rows``, shared by the rows with that prefix; ``next_poly`` stores
+    nothing there, so a classical run caches no prefix."""
 
     def __init__(self, q: PrenexQbf, field: Field, schedule: RoundSchedule | None = None):
         self.q = q
         self.field = field
         self.schedule = schedule or build_schedule(q)
+        self._rows: dict[tuple[int, ...], UniPoly] = {}
         self._memo: dict[int, int | Sequence[int]] = {}
 
     def next_poly(self, j, r_prefix, sent):
         return correct_polynomial(self.q, self.schedule, self.field, j, r_prefix, self._memo)
 
+    def correct_row(self, r_row: tuple[int, ...]) -> tuple[UniPoly, ...]:
+        n_rounds = self.schedule.n_rounds
+        if len(r_row) != n_rounds:
+            raise ValueError(f"need {n_rounds} challenges")
+        out = []
+        for j in range(1, n_rounds + 1):
+            prefix = r_row[: j - 1]
+            poly = self._rows.get(prefix)
+            if poly is None:
+                poly = correct_polynomial(self.q, self.schedule, self.field, j, prefix,
+                                          self._memo)
+                self._rows[prefix] = poly
+            out.append(poly)
+        return tuple(out)
 
-def honest_policy(q: PrenexQbf, field: Field) -> HonestPolicy:
-    return HonestPolicy(q, field)
+
+def honest_policy(q: PrenexQbf, field: Field) -> TranscriptOracle:
+    return TranscriptOracle(q, field)
 
 
 def run_with_randomness(
@@ -895,37 +917,3 @@ def winnable_rows(q: PrenexQbf, field: Field, schedule: RoundSchedule | None = N
     fixed = schedule.n_rounds - _free_width(field.order, schedule.n_rounds)
     return sum(int(_lookahead_search(tables, prefix, False)[1].sum())
                for prefix in itertools.product(field.elements(), repeat=fixed))
-
-
-# ---------------------------------------------------------------------------
-# Cached honest messages (shared by the quantum provers).
-
-
-class TranscriptOracle:
-    """Memoized honest messages. Round j's message depends only on the
-    challenges r_1..r_{j-1}, so ``_rows`` holds one message per challenge
-    prefix, and rows that share a prefix share its messages. ``_memo``
-    holds the values at Boolean points, scalar and symbolic, of the one
-    suffix walk every message takes (``correct_polynomial``)."""
-
-    def __init__(self, q: PrenexQbf, field: Field, schedule: RoundSchedule | None = None):
-        self.q = q
-        self.field = field
-        self.schedule = schedule or build_schedule(q)
-        self._rows: dict[tuple[int, ...], UniPoly] = {}
-        self._memo: dict[int, int | Sequence[int]] = {}
-
-    def correct_row(self, r_row: tuple[int, ...]) -> tuple[UniPoly, ...]:
-        n_rounds = self.schedule.n_rounds
-        if len(r_row) != n_rounds:
-            raise ValueError(f"need {n_rounds} challenges")
-        out = []
-        for j in range(1, n_rounds + 1):
-            prefix = r_row[: j - 1]
-            poly = self._rows.get(prefix)
-            if poly is None:
-                poly = correct_polynomial(self.q, self.schedule, self.field, j, prefix,
-                                          self._memo)
-                self._rows[prefix] = poly
-            out.append(poly)
-        return tuple(out)

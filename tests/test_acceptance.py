@@ -31,7 +31,6 @@ from qipsim.quantum import (
     QuantumProtocol,
     dense_oracle,
     full_lookahead,
-    run_quantum,
 )
 from qipsim.sumcheck import (
     TranscriptOracle,
@@ -203,7 +202,7 @@ def test_criterion_04_quantum_completeness():
         for q in TRUE_N1:
             for k in (1, 2, 3):
                 for m in (1, 2):
-                    report = run_quantum(q, k, m, HonestProver())
+                    report = QuantumProtocol(q, Field(k), m).run(HonestProver())
                     assert report.step1_pass == 1, (q, k, m)
                     assert report.mean_accept == 1, (q, k, m)
                     assert all(a == 1 for _, a in report.per_u)

@@ -269,7 +269,7 @@ def test_classical_run_matches_independent_trials(q, k, prover, above, data):
         "--trials", str(trials), "--seed", str(seed)])
     got = args.func(args)["per_trial"]
     if prover == "honest":
-        policy = lambda: sumcheck.HonestPolicy(q, field, schedule)  # noqa: E731
+        policy = lambda: sumcheck.TranscriptOracle(q, field, schedule)  # noqa: E731
     else:
         table = sumcheck.optimal_cheater(q, field, schedule)[0]
         policy = lambda: table  # noqa: E731

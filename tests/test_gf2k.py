@@ -157,21 +157,6 @@ def test_poly_degree_trim():
     assert poly_trim((0,)) == ()
 
 
-def test_encode_decode():
-    f = Field(2)
-    assert f.encode(2) == "01"  # bit i is the x^i coefficient
-    assert f.encode(1) == "10"
-    assert f.decode("01") == 2
-    with pytest.raises(ValueError):
-        f.decode("0")
-    with pytest.raises(ValueError):
-        f.decode("02")
-    for k in (3, 8):
-        g = Field(k)
-        for a in list(g.elements())[:16]:
-            assert g.decode(g.encode(a)) == a
-
-
 def test_modulus_text():
     assert Field(2).modulus_text() == "x^2 + x + 1"
     assert Field(1).modulus_text() == "x"

@@ -25,7 +25,6 @@ from qipsim.quantum import (
     build_layout,
     dense_oracle,
     full_lookahead,
-    run_quantum,
 )
 from qipsim.sumcheck import ProtocolSizeError, build_schedule, transcript_valid, verify_rows
 
@@ -33,8 +32,6 @@ from qipsim.sumcheck import ProtocolSizeError, build_schedule, transcript_valid,
 def test_layout_partition_example():
     lay = RegisterLayout(copies=5, n_rounds=8, field_bits=3, degree_bound=3)
     u = (6, 4, 7, 2, 5)
-    assert [lay.kept_r_count(u, i) for i in range(1, 6)] == [5, 3, 6, 1, 4]
-    assert [lay.kept_f_count(u, i) for i in range(1, 6)] == [6, 4, 7, 2, 5]
     assert lay.hadamard_count(u) == 21
     assert lay.hadamard_count((8,) * 5) == 5  # u = (N,...,N) leaves one per row
 
@@ -225,7 +222,7 @@ def test_honest_true_run_is_exactly_one():
         ("E x1 : ~x1", 3, 2),
     ]
     for text, k, m in cases:
-        report = run_quantum(parse_qbf(text), k, m, HonestProver())
+        report = QuantumProtocol(parse_qbf(text), Field(k), m).run(HonestProver())
         assert report.step1_pass == 1
         assert report.mean_accept == 1
         assert all(a == 1 for _, a in report.per_u)
@@ -271,8 +268,6 @@ def test_run_refuses_bad_u_options_before_round1(monkeypatch):
 def test_negative_seed_refused():
     # random.Random(-s) draws what random.Random(s) draws
     q = parse_qbf("A x1 : x1")
-    with pytest.raises(ValueError, match="non-negative"):
-        run_quantum(q, 3, 2, HonestProver(), "sample", 4, -3)
     with pytest.raises(ValueError, match="non-negative"):
         QuantumProtocol(q, Field(2), 1).run(HonestProver(), "sample", 4, seed=-1)
 

@@ -22,7 +22,6 @@ from qipsim.qbf import compile_matrix, eval_qbf, parse_qbf
 from qipsim.quantum import full_lookahead
 from qipsim.sumcheck import (
     FieldTables,
-    HonestPolicy,
     MAX_PARTIAL_LEAVES,
     ProtocolSizeError,
     _suffix_evaluations,
@@ -377,14 +376,15 @@ def _memo_runs(draw):
 @settings(max_examples=60)
 @given(_memo_runs())
 def test_boolean_memo_matches_memo_free_paths(inst):
-    # one HonestPolicy and one TranscriptOracle, each with its memo of
-    # Boolean suffix values, serve every prefix and every seed; each message
-    # equals correct_polynomial with a fresh memo and the interpolation of
-    # partial_value (a fresh memo per call) at the round's nodes
+    # two TranscriptOracles, one run as a policy and one read by row, each
+    # with its memo of Boolean suffix values, serve every prefix and every
+    # seed; each message equals correct_polynomial with a fresh memo and the
+    # interpolation of partial_value (a fresh memo per call) at the round's
+    # nodes
     q, k, seeds, rows = inst
     field = Field(k)
     schedule = build_schedule(q)
-    policy = HonestPolicy(q, field, schedule)
+    policy = TranscriptOracle(q, field, schedule)
     oracle = TranscriptOracle(q, field, schedule)
     served = [(tr.r, tr.f) for tr in (run_protocol(q, field, policy, s, schedule)
                                       for s in seeds)]
@@ -427,11 +427,11 @@ def test_boolean_memo_stops_at_its_cap(monkeypatch):
     q = parse_qbf("A x1 E x2 A x3 E x4 A x5 : (x1 | x2) & (~x3 | x4 | x5)")
     field = Field(32)
     schedule = build_schedule(q)
-    want = [run_protocol(q, field, HonestPolicy(q, field, schedule), s, schedule)
+    want = [run_protocol(q, field, TranscriptOracle(q, field, schedule), s, schedule)
             for s in range(3)]
     for cap in (3, 100):
         monkeypatch.setattr(purepy, "MEMO_MAX_ENTRIES", cap)
-        policy = HonestPolicy(q, field, schedule)
+        policy = TranscriptOracle(q, field, schedule)
         got = [run_protocol(q, field, policy, s, schedule) for s in range(3)]
         assert got == want
         assert len(policy._memo) == cap
@@ -610,6 +610,19 @@ def test_run_protocol_honest():
     q = parse_qbf("A x1 : x1")
     tr = run_protocol(q, Field(3), honest_policy(q, Field(3)), rng=0)
     assert not tr.accepted and tr.reject_round == 1
+
+
+def test_honest_policy_is_the_transcript_oracle():
+    # one honest prover serves both uses: run as a policy it caches no
+    # challenge prefix, and its rows are then the messages it sent
+    q = parse_qbf("A x1 E x2 : (x1 | ~x2) & (~x1 | x2)")
+    f = Field(32)
+    policy = honest_policy(q, f)
+    assert isinstance(policy, TranscriptOracle)
+    tr = run_protocol(q, f, policy, rng=11)
+    assert tr.accepted
+    assert policy._rows == {} and policy._memo
+    assert policy.correct_row(tr.r) == tr.f
 
 
 def test_run_with_randomness_notes():
