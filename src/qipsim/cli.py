@@ -213,10 +213,10 @@ def cmd_quantum_run(args) -> dict:
     proto = QuantumProtocol(q, Field(args.k), args.m)
     if args.dense_check:
         check_dense_size(proto.layout)
+    # drawn, or refused, before the prover is built: biased:single holds m rows
+    us = proto._draw_us(args.u, args.samples, args.seed)
     spec = _make_quantum_spec(args.prover, proto)
-    report = proto.run(
-        spec, u_mode=args.u, samples=args.samples, seed=args.seed
-    )
+    report = proto.run(spec, u_mode=args.u, seed=args.seed, us=us)
     result = report.to_dict()
     if args.dense_check:
         worst = 0.0

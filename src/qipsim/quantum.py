@@ -31,12 +31,12 @@ becomes (R, its kept message columns, zeros), a bijection that keeps the
 amplitudes and the registers step 4 groups by. Step 4 and the events are
 therefore read directly off the step-1-filtered state, which stores only R
 and F. A dense state-vector oracle cross-checks this closed form at small
-sizes: in one pass over the prover's round-1 branches it drops those step 1
-rejects and writes each other branch once, at its image under the round-2
-uncompute and the verifier's R-into-S, then applies the step-4 test as
-explicit Hadamard gates. Its amplitudes are integers: each branch's weight
-over the prover's common denominator, with the gates' 1/sqrt(2) left out,
-so its sum of squares is exact.
+sizes: it starts from the same step-1-filtered state, writes each kept
+branch once, at its image under the round-2 uncompute (the prover's message
+function rerun on S) and the verifier's R-into-S, then applies the step-4
+test as explicit Hadamard gates. Its amplitudes are the kept branches'
+integer numerators, with the gates' 1/sqrt(2) left out, so its sum of
+squares is exact.
 
 A row prover answers each row from that row's challenges alone, so the
 state is a product over rows and every result factors by row;
@@ -596,7 +596,10 @@ class QuantumProtocol:
     def _draw_us(self, u_mode: str, samples: int, seed: int) -> list[tuple[int, ...]]:
         """The run's u vectors: all N^m in exhaustive mode, or ``samples``
         seeded uniform draws; either is refused past ``MAX_BRANCHES``, since
-        the report lists every u."""
+        the report lists every u. The seed must be non-negative, since
+        ``random.Random(-s)`` draws what ``random.Random(s)`` draws."""
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, not {seed}")
         n_rounds = self.layout.n_rounds
         if u_mode == "exhaustive":
             if _power_exceeds(n_rounds, self.copies, MAX_BRANCHES):
@@ -682,6 +685,7 @@ class QuantumProtocol:
         u_mode: str = "exhaustive",
         samples: int = 0,
         seed: int = 0,
+        us: Optional[list[tuple[int, ...]]] = None,
     ) -> QuantumRunReport:
         """Exact run over every u in {1..N}^m or over sampled ones.
 
@@ -698,11 +702,10 @@ class QuantumProtocol:
         product of the simulated a(v) over u's blocks v, each row's events
         repeat per block, and over every u the mean is the simulated mean to
         the power blocks, so exhaustive mode never sums the N^m products.
-        The seed must be non-negative, since ``random.Random(-s)`` draws what
-        ``random.Random(s)`` draws."""
-        if seed < 0:
-            raise ValueError(f"seed must be non-negative, not {seed}")
-        us = self._draw_us(u_mode, samples, seed)
+        ``us``, when given, is ``_draw_us(u_mode, samples, seed)`` drawn by
+        the caller, which can then refuse a run before building its prover."""
+        if us is None:
+            us = self._draw_us(u_mode, samples, seed)
         sim = QuantumProtocol(self.q, self.field, 1) if isinstance(spec, RowProver) else self
         width, blocks = sim.copies, self.copies // sim.copies
         p, events, step4 = sim._row_array_stages(spec) or sim._sparse_stages(spec)
@@ -757,24 +760,23 @@ class QuantumProtocol:
 
 # ---------------------------------------------------------------------------
 # Dense state-vector oracle. Same protocol on the full 2^total_qubits vector,
-# on exact integer amplitudes, to cross-check the sparse closed form. One pass
-# over the prover's round-1 branches |R, F(R), S = R> skips those step 1
-# rejects and writes each other branch's amplitude once, at its image under
-# round 2: the prover's uncompute reruns its message function on S over the
-# returned columns, and the verifier adds R into S. Step 4 is explicit
+# on exact integer amplitudes, to cross-check the sparse closed form. It starts
+# from the sparse engine's step-1-filtered state, the branches |R, F(R), S = R>
+# that step 1 keeps, and writes each kept branch's amplitude once, at its image
+# under round 2: the prover's uncompute reruns its message function on S over
+# the returned columns, and the verifier adds R into S. Step 4 is explicit
 # Hadamard gates.
 #
 # The vector is R-major: its flat index holds the R qubits above the F and S
 # qubits, which is the layout's qubit index rotated (see _dense_index). A gate
 # on an R qubit is then a butterfly between contiguous blocks of at least
 # 2^(F and S qubits) amplitudes, done in place, and the all-zero outcome of
-# the hidden registers is a slice of the vector. The vector holds integer
-# numerators: a branch's weight over the prover's common denominator (1 for
-# an unweighted branch), and the gates leave out their 1/sqrt(2). The
-# normalization is then one factor on the probability, the sum of the
-# squared numerators times 2^gates, and that probability is exact up to its
-# one final division. Each gate at most doubles the largest magnitude, so the
-# vector takes the narrowest signed dtype that holds +-max|c| 2^gates.
+# the hidden registers is a slice of the vector. The vector holds the kept
+# branches' integer numerators c over sqrt(scale), and the gates leave out
+# their 1/sqrt(2). The normalization is then one factor on the probability,
+# scale times 2^gates, and that probability is exact up to its one final
+# division. Each gate at most doubles the largest magnitude, so the vector
+# takes the narrowest signed dtype that holds +-max|c| 2^gates.
 
 
 def check_dense_size(layout: RegisterLayout) -> None:
@@ -844,34 +846,15 @@ def dense_oracle(
     rest = lay.total_qubits - m * n_rounds * k
     gates = k * sum(n_rounds - x + 1 for x in u)
 
-    # The prover's round-1 branches (R, numerator). A uniform prover's R runs
-    # over every value of the m x N challenge cells, cut into rows by zipping
-    # one iterator N times. The norm is the sum of the squared numerators.
-    if isinstance(spec, BiasedSupportProver):
-        proto._check_support(spec)
-        if spec.weights is None:
-            nums = [1] * len(spec.support)
-        else:
-            # weight w is (w D) / D over the least common denominator D
-            denom = math.lcm(*(w.denominator for w in spec.weights))
-            nums = [int(w * denom) for w in spec.weights]
-        branches = zip(spec.support, nums)
-        norm = sum(c * c for c in nums)
-        peak = max(map(abs, nums)) << gates
-    else:
-        cells = itertools.product(proto.field.elements(), repeat=m * n_rounds)
-        branches = ((tuple(zip(*[iter(c)] * n_rounds)), 1) for c in cells)
-        norm = proto.field.order ** (m * n_rounds)
-        peak = 1 << gates
+    # Round 1 and step 1 are the sparse engine's: the kept branches (R, F)
+    # with their integer numerators over sqrt(kept.scale).
+    _, kept = proto.step1_filter(proto.prepare_round1(spec))
+    peak = max(map(abs, kept.branches.values()), default=0) << gates
     sv = np.zeros(1 << lay.total_qubits, dtype=_amplitude_dtype(peak))
-    for R, num in branches:
-        # Step 1: keep the branch only if every row is a valid transcript.
-        F = proto.padded_f_matrix(spec, R)
-        if not all(transcript_valid(q, proto.schedule, proto.field, R[i], F[i])
-                   for i in range(m)):
-            continue
+    for (R, F), num in kept.branches.items():
         # Rounds 2-3: the prover uncomputes the returned message columns from
-        # its copy S = R, and the verifier adds R into S.
+        # its copy S = R, rerunning its message function, and the verifier
+        # adds R into S.
         S = R
         fs = proto.padded_f_matrix(spec, S)
         new_f = tuple(
@@ -905,4 +888,4 @@ def dense_oracle(
     exact = np.int64 if peak * peak * accepted.size < 1 << 63 else object
     axes = list(range(accepted.ndim))
     total = int(np.einsum(accepted, axes, accepted, axes, [], dtype=exact))
-    return math.ldexp(float(total) / norm, -gates)
+    return math.ldexp(float(total) / kept.scale, -gates)

@@ -167,6 +167,9 @@ def invocations() -> list[list[str]]:
     # Refusals and bad input, each exiting 2.
     add("quantum", "run", "--formula", "E x1 : x1", "--k", "1", "--m", "17",
         "--prover", "biased:single")
+    # refused before the prover builds its million-row support
+    add("quantum", "run", "--formula", "E x1 : x1", "--k", "1", "--m", "1000000",
+        "--prover", "biased:single")
     add("quantum", "run", "--formula", "E x1 : x1", "--k", "1", "--m", "7000")
     add("quantum", "run", "--formula", "E x1 : x1", "--k", "1", "--m", "1",
         "--u", "sample", "--samples", "65537")

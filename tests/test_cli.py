@@ -15,7 +15,7 @@ import golden_cli
 import qipsim
 from strategies import formulas
 from qipsim.cli import TRIAL_SEED_STRIDE, build_parser, main
-from qipsim import quantum, sumcheck
+from qipsim import cli, quantum, sumcheck
 from qipsim.gf2k import Field
 from qipsim.qbf import parse_qbf, to_text
 from qipsim.quantum import QuantumProtocol
@@ -146,7 +146,7 @@ def test_dense_check_searches_once(capsys, monkeypatch):
     assert len(calls) == 2
 
 
-def test_quantum_run_biased_single(capsys):
+def test_quantum_run_biased_single(capsys, monkeypatch):
     # every copy's support is the all-zero challenge matrix
     res = run_json(
         capsys, "quantum", "run", "--formula", "E x1 : x1",
@@ -163,7 +163,12 @@ def test_quantum_run_biased_single(capsys):
     )["result"]
     assert res["dense_check"]["agrees"] is True
 
-    # 2^17 u vectors: the joint engine is refused before any simulation too
+    # 2^17 u vectors: the joint engine is refused before any simulation too,
+    # and before the prover copies its m-row support
+    def unbuilt(*args, **kwargs):
+        pytest.fail("the prover was built before the u vectors were refused")
+
+    monkeypatch.setattr(cli, "BiasedSupportProver", unbuilt)
     code, out, err = run_cli(
         capsys, "quantum", "run", "--formula", "E x1 : x1",
         "--k", "1", "--m", "17", "--prover", "biased:single",

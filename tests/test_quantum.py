@@ -100,6 +100,23 @@ def test_prepare_biased():
     weighted = proto.prepare_round1(BiasedSupportProver(
         [((0, 0),), ((0, 1),)], weights=[Fraction(3, 5), Fraction(4, 5)]))
     assert weighted.norm_sq() == 1 and weighted.scale == 25
+    # each branch's numerator c over sqrt(scale) is its weight w, sign
+    # included: the dense oracle reads these numerators and does not
+    # recompute them
+    two, four = [((0, 0),), ((0, 1),)], [((0, 0),), ((0, 1),), ((1, 2),), ((3, 3),)]
+    for support, weights in (
+        (two, (Fraction(3, 5), Fraction(4, 5))),
+        (two, (Fraction(5, 13), Fraction(12, 13))),
+        (two, (Fraction(119, 169), Fraction(120, 169))),
+        (four, (Fraction(1, 3), Fraction(-2, 3), Fraction(2, 5), Fraction(8, 15))),
+        (two, _pythagorean(1 << 20)),
+        (two, _pythagorean(1 << 32)),
+    ):
+        state = proto.prepare_round1(BiasedSupportProver(support, weights=list(weights)))
+        coeffs = {b.r: c for b, c in state.branches.items()}
+        for R, w in zip(support, weights):
+            c = coeffs[R]
+            assert Fraction(c * abs(c), state.scale) == w * abs(w), (R, w, c)
 
 
 def test_prepare_biased_validation():
